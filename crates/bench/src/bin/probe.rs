@@ -19,7 +19,17 @@ fn main() {
     let ctx = Ctx::new(scale, std::env::temp_dir().join("shrinksvm-probe"));
     println!(
         "{:>14} {:>6} {:>7} {:>5} {:>6} | {:>9} {:>7} {:>6} | {:>9} {:>7} {:>6}",
-        "dataset", "n", "iters", "nsv", "t_seq", "bestSaved", "bestRec", "bIters", "worstSaved", "worstRec", "wIters"
+        "dataset",
+        "n",
+        "iters",
+        "nsv",
+        "t_seq",
+        "bestSaved",
+        "bestRec",
+        "bIters",
+        "worstSaved",
+        "worstRec",
+        "wIters"
     );
     for which in PaperDataset::all() {
         let data = which.generate(scale);

@@ -59,9 +59,12 @@ fn main() {
     let ctx = Ctx::new(scale, out);
     println!(
         "machine model: lambda = {:.3e} s/nnz, kernel overhead = {:.1e} s, net = FDR-like",
-        ctx.model().charge.lambda_per_nnz, ctx.model().charge.kernel_overhead
+        ctx.model().charge.lambda_per_nnz,
+        ctx.model().charge.kernel_overhead
     );
 
+    #[allow(clippy::disallowed_methods)]
+    // allow-wall-clock: host-side elapsed-time print, outside simulation
     let started = std::time::Instant::now();
     match cmd.as_str() {
         "table2" => tables::table2(&ctx),

@@ -45,7 +45,9 @@ pub fn casvm(ctx: &Ctx) {
         ctx.recalibrate(&data);
         let test = data.test.as_ref().expect("dataset has a test split");
         let params = SvmParams::new(data.c, KernelKind::rbf_from_sigma_sq(data.sigma_sq));
-        let exact = SmoSolver::new(&data.train, params).train().expect("exact baseline");
+        let exact = SmoSolver::new(&data.train, params)
+            .train()
+            .expect("exact baseline");
         let multi = capture(ctx, &data, ShrinkPolicy::best(), 2);
         let perm = capture(
             ctx,
@@ -65,7 +67,11 @@ pub fn casvm(ctx: &Ctx) {
             f(multi.test_accuracy.unwrap() * 100.0),
             f(perm.test_accuracy.unwrap() * 100.0),
             f(perm.run.trace.work_saved() * 100.0),
-            if gap_ok { "yes".into() } else { "NO (inexact)".into() },
+            if gap_ok {
+                "yes".into()
+            } else {
+                "NO (inexact)".into()
+            },
         ]);
     }
     t.note("Multi5pc always matches the exact accuracy (paper's claim); Permanent may not — and even when accuracy survives, the returned solution skipped the global optimality proof");
@@ -76,7 +82,14 @@ pub fn casvm(ctx: &Ctx) {
 pub fn subsequent(ctx: &Ctx) {
     let mut t = Table::new(
         "Ablation — subsequent shrinking threshold (§IV-A2)",
-        &["Name", "policy", "iters", "work saved%", "shrink passes", "recons"],
+        &[
+            "Name",
+            "policy",
+            "iters",
+            "work saved%",
+            "shrink passes",
+            "recons",
+        ],
     );
     for which in [PaperDataset::Higgs, PaperDataset::Forest] {
         let data = which.generate(ctx.scale);
@@ -112,8 +125,14 @@ pub fn network(ctx: &Ctx) {
         "Ablation — interconnect sensitivity (modeled time, Multi5pc on HIGGS analog)",
         &["procs", "FDR-like", "10GbE-like", "slowdown"],
     );
-    let fdr = MachineModel { net: CostParams::fdr(), ..ctx.model() };
-    let eth = MachineModel { net: CostParams::ethernet_10g(), ..ctx.model() };
+    let fdr = MachineModel {
+        net: CostParams::fdr(),
+        ..ctx.model()
+    };
+    let eth = MachineModel {
+        net: CostParams::ethernet_10g(),
+        ..ctx.model()
+    };
     for p in [16usize, 64, 256, 1024, 4096] {
         let a = fdr.project(&cap.run.trace, p, row_bytes).total();
         let b = eth.project(&cap.run.trace, p, row_bytes).total();

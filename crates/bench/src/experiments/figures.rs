@@ -19,7 +19,7 @@ const CAPTURE_P: usize = 4;
 /// validation block at small p.
 pub fn scaling_figure(ctx: &Ctx, which: PaperDataset, stem: &str, title: &str, p_max: usize) {
     let data = which.generate(ctx.scale);
-        ctx.recalibrate(&data);
+    ctx.recalibrate(&data);
     println!("[{stem}] dataset: {}", data.train.summary());
     let baseline = run_baseline(ctx, &data);
     println!(
@@ -29,10 +29,14 @@ pub fn scaling_figure(ctx: &Ctx, which: PaperDataset, stem: &str, title: &str, p
         secs(baseline.t_enhanced16),
     );
 
-    let caps: Vec<Captured> = [ShrinkPolicy::none(), ShrinkPolicy::worst(), ShrinkPolicy::best()]
-        .into_iter()
-        .map(|pol| capture(ctx, &data, pol, CAPTURE_P))
-        .collect();
+    let caps: Vec<Captured> = [
+        ShrinkPolicy::none(),
+        ShrinkPolicy::worst(),
+        ShrinkPolicy::best(),
+    ]
+    .into_iter()
+    .map(|pol| capture(ctx, &data, pol, CAPTURE_P))
+    .collect();
     for c in &caps {
         println!(
             "[{stem}] {}: {} iters, work saved {:.1}%, {} recon(s)",
@@ -54,7 +58,10 @@ pub fn scaling_figure(ctx: &Ctx, which: PaperDataset, stem: &str, title: &str, p
         ],
     );
     for &p in PAPER_P_GRID.iter().filter(|&&p| p <= p_max) {
-        let times: Vec<f64> = caps.iter().map(|c| projected_time(ctx, &data, c, p)).collect();
+        let times: Vec<f64> = caps
+            .iter()
+            .map(|c| projected_time(ctx, &data, c, p))
+            .collect();
         t.row(vec![
             format!("{p}"),
             f(baseline.t_enhanced16 / times[0]),
@@ -79,7 +86,14 @@ pub fn scaling_figure(ctx: &Ctx, which: PaperDataset, stem: &str, title: &str, p
 fn validation_block(ctx: &Ctx, data: &PaperData, stem: &str) {
     let mut t = Table::new(
         format!("{stem} — validation (really executed threaded ranks)"),
-        &["procs", "policy", "iters", "sim time", "bias", "Best/Default"],
+        &[
+            "procs",
+            "policy",
+            "iters",
+            "sim time",
+            "bias",
+            "Best/Default",
+        ],
     );
     let mut reference: Option<(u64, f64)> = None;
     let mut ratios: Vec<f64> = Vec::new();

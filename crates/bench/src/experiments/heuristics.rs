@@ -11,7 +11,7 @@ use crate::runner::{capture, projected_time, write_bench_report, Ctx};
 /// Run all 13 configurations on a dataset and emit a comparison table.
 pub fn ablation(ctx: &Ctx, which: PaperDataset, stem: &str, p_model: usize) {
     let data = which.generate(ctx.scale);
-        ctx.recalibrate(&data);
+    ctx.recalibrate(&data);
     println!("[{stem}] dataset: {}", data.train.summary());
     let mut t = Table::new(
         format!(
@@ -58,7 +58,9 @@ pub fn ablation(ctx: &Ctx, which: PaperDataset, stem: &str, p_model: usize) {
     }
     let (bn, bt, bcap) = best.unwrap();
     let (wn, _) = worst.unwrap();
-    t.note(format!("fastest: {bn}; slowest: {wn} (paper §V-D2: Multi5pc best, Single50pc worst)"));
+    t.note(format!(
+        "fastest: {bn}; slowest: {wn} (paper §V-D2: Multi5pc best, Single50pc worst)"
+    ));
     t.emit(&ctx.out_dir, stem).unwrap();
     // machine-readable run report for the winning policy
     write_bench_report(ctx, stem, &bcap, Some(bt), original_time);

@@ -24,10 +24,7 @@ pub fn table2(ctx: &Ctx) {
     for (i, p) in ShrinkPolicy::table2().iter().enumerate() {
         let (kind, recon) = match p.heuristic {
             shrinksvm_core::Heuristic::None => ("None".to_string(), "N/A".to_string()),
-            shrinksvm_core::Heuristic::Random(k) => (
-                format!("random: {k}"),
-                recon_name(p.recon),
-            ),
+            shrinksvm_core::Heuristic::Random(k) => (format!("random: {k}"), recon_name(p.recon)),
             shrinksvm_core::Heuristic::NumSamples(x) => (
                 format!("numsamples: {}%", (x * 100.0).round() as u64),
                 recon_name(p.recon),
@@ -66,14 +63,19 @@ pub fn table3(ctx: &Ctx) {
             data.name.to_string(),
             format!("{}", data.paper_train_size),
             format!("{}", data.train.len()),
-            data.test.as_ref().map(|x| x.len().to_string()).unwrap_or_else(|| "N/A".into()),
+            data.test
+                .as_ref()
+                .map(|x| x.len().to_string())
+                .unwrap_or_else(|| "N/A".into()),
             format!("{}", data.train.x.ncols()),
             f(data.train.x.density() * 100.0),
             f(data.c),
             f(data.sigma_sq),
         ]);
     }
-    t.note("analogs are planted-boundary synthetics; see DESIGN.md §4 for the substitution argument");
+    t.note(
+        "analogs are planted-boundary synthetics; see DESIGN.md §4 for the substitution argument",
+    );
     t.emit(&ctx.out_dir, "table3").unwrap();
 }
 
@@ -82,7 +84,13 @@ pub fn table3(ctx: &Ctx) {
 pub fn table4(ctx: &Ctx) {
     let mut t = Table::new(
         "Table IV — Relative speedup to libsvm-sequential (smaller datasets)",
-        &["Name", "Default", "Shrinking (Worst)", "Shrinking (Best)", "Proc"],
+        &[
+            "Name",
+            "Default",
+            "Shrinking (Worst)",
+            "Shrinking (Best)",
+            "Proc",
+        ],
     );
     // the paper's process counts per dataset
     let rows: &[(PaperDataset, usize)] = &[

@@ -43,7 +43,11 @@ impl Ctx {
     pub fn new(scale: f64, out_dir: PathBuf) -> Self {
         let probe = shrinksvm_datagen::gaussian::two_blobs(256, 32, 3.0, 99);
         let model = MachineModel::calibrate(KernelKind::Rbf { gamma: 0.1 }, &probe.x);
-        Ctx { scale, out_dir, model: Cell::new(model) }
+        Ctx {
+            scale,
+            out_dir,
+            model: Cell::new(model),
+        }
     }
 
     /// Current machine model.
@@ -55,10 +59,8 @@ impl Ctx {
     /// have very different per-entry costs). Every experiment driver calls
     /// this once per dataset before measuring or projecting.
     pub fn recalibrate(&self, data: &PaperData) {
-        let model = MachineModel::calibrate(
-            KernelKind::rbf_from_sigma_sq(data.sigma_sq),
-            &data.train.x,
-        );
+        let model =
+            MachineModel::calibrate(KernelKind::rbf_from_sigma_sq(data.sigma_sq), &data.train.x);
         self.model.set(model);
     }
 
@@ -105,13 +107,17 @@ pub fn baseline_cache_bytes(paper_n: usize, ours_n: usize) -> usize {
 pub fn run_baseline(ctx: &Ctx, data: &PaperData) -> Baseline {
     let cache = baseline_cache_bytes(data.paper_train_size, data.train.len());
     let params = ctx.params_for(data).with_cache_bytes(cache);
+    #[allow(clippy::disallowed_methods)]
+    // allow-wall-clock: the sequential baseline's host time is the measured T_seq
     let start = Instant::now();
     let out = SmoSolver::new(&data.train, params)
         .train()
         .expect("baseline training failed");
     let t_seq = start.elapsed().as_secs_f64().max(1e-9);
     let kernel_time = out.kernel_evals as f64
-        * ctx.model().charge
+        * ctx
+            .model()
+            .charge
             .eval_cost((2.0 * data.train.x.mean_row_nnz()).ceil() as usize);
     let kernel_fraction = (kernel_time / t_seq).clamp(0.05, 0.98);
     let t_enhanced16 = MachineModel::baseline_threads(t_seq, kernel_fraction, BASELINE_THREADS);
@@ -145,7 +151,11 @@ pub fn capture(ctx: &Ctx, data: &PaperData, policy: ShrinkPolicy, p: usize) -> C
         .train()
         .expect("distributed training failed");
     let test_accuracy = data.test.as_ref().map(|t| accuracy(&run.model, t));
-    Captured { policy, run, test_accuracy }
+    Captured {
+        policy,
+        run,
+        test_accuracy,
+    }
 }
 
 /// Build the machine-readable run report for a captured run and write it
@@ -183,7 +193,9 @@ pub fn mean_row_bytes(data: &PaperData) -> f64 {
 
 /// Modeled total seconds of a captured run at `p` processes.
 pub fn projected_time(ctx: &Ctx, data: &PaperData, cap: &Captured, p: usize) -> f64 {
-    ctx.model().project(&cap.run.trace, p, mean_row_bytes(data)).total()
+    ctx.model()
+        .project(&cap.run.trace, p, mean_row_bytes(data))
+        .total()
 }
 
 /// Modeled reconstruction fraction at `p` processes.

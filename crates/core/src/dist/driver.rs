@@ -235,17 +235,6 @@ impl<'a> DistSolver<'a> {
         self
     }
 
-    /// Toggle the overlapped-communication pipeline: the fused candidate
-    /// reduction becomes a nonblocking collective initiated after the
-    /// sweep head and waited on only at the pivot decision. Defaults to
-    /// the `SHRINKSVM_OVERLAP` environment override, else on. Models and
-    /// iteration counts are bit-identical either way; only simulated
-    /// time moves.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.cfg.overlap = overlap;
-        self
-    }
-
     /// Run the solver under the substrate's full communication validation
     /// ([`Universe::validated`]): vector-clock happens-before checks,
     /// collective lockstep fingerprints, message conservation and tag

@@ -34,4 +34,4 @@ pub use checkpoint::{
 pub use convergence::{ConvergencePhase, ConvergenceTracker};
 pub use driver::{flight_capacity, DistRunResult, DistSolver};
 pub use recovery::{LadderAction, RecoveryLadder, RecoveryPolicy, RecoverySummary};
-pub use solver::{metrics_epoch, overlap_default, train_rank, DistConfig, DotKind, RankOutput};
+pub use solver::{metrics_epoch, train_rank, DistConfig, DotKind, RankOutput};

@@ -26,7 +26,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use shrinksvm_mpisim::{decode_minloc_maxloc, CollRequest, Comm, MaxLoc, MinLoc};
+use shrinksvm_mpisim::{Comm, MaxLoc, MinLoc};
 use shrinksvm_obs::MetricsRegistry;
 use shrinksvm_sparse::{ops, Dataset, RowView, ScratchPad};
 use shrinksvm_threads::schedule::static_block;
@@ -81,23 +81,6 @@ pub fn metrics_epoch() -> u64 {
     )
 }
 
-/// Default for [`DistConfig::overlap`]: `SHRINKSVM_OVERLAP` when set
-/// (`0` disables, anything else enables), else **on**. Read once per
-/// process and cached — every rank must agree on it, since the choice
-/// changes the collective sequence.
-///
-/// Panics with a named diagnosis when the override is set to a
-/// non-numeric value — a misconfigured knob must not silently fall back
-/// to the default.
-pub fn overlap_default() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| match shrinksvm_mpisim::env_u64("SHRINKSVM_OVERLAP") {
-        Ok(Some(v)) => v != 0,
-        Ok(None) => true,
-        Err(e) => panic!("{e}"),
-    })
-}
-
 /// Sparse dot-product implementation used by the gradient-update hot path.
 ///
 /// Both produce **bit-identical** kernel values: the scatter path gathers
@@ -136,13 +119,6 @@ pub struct DistConfig {
     pub threads: usize,
     /// Dot-product implementation for the hot path.
     pub dots: DotKind,
-    /// Overlapped-communication pipeline: when on, each iteration's fused
-    /// candidate reduction is a *nonblocking* collective initiated right
-    /// after the sweep's head and waited on only at the next pivot
-    /// decision, so the sweep tail (shrink bookkeeping, the survivors
-    /// reduction) hides its latency. Bit-identical models and iteration
-    /// counts either way; only simulated time moves.
-    pub overlap: bool,
 }
 
 impl DistConfig {
@@ -156,7 +132,6 @@ impl DistConfig {
             resume: None,
             threads: 1,
             dots: DotKind::default(),
-            overlap: overlap_default(),
         }
     }
 }
@@ -214,16 +189,6 @@ impl Default for SweepPart {
     }
 }
 
-/// The per-iteration fused MINLOC+MAXLOC candidate reduction, between the
-/// sweep that initiated it and the pivot decision that consumes it.
-enum PendingCand {
-    /// Blocking path (`overlap = false`): the result is already in hand.
-    Ready(MinLoc, MaxLoc),
-    /// Overlap path: the collective is in flight; the pivot decision
-    /// clamps to its completion via [`Comm::coll_wait`].
-    InFlight(CollRequest),
-}
-
 /// Per-rank solver state.
 pub(crate) struct RankState<'a> {
     ds: &'a Dataset,
@@ -251,8 +216,6 @@ pub(crate) struct RankState<'a> {
     pool: ThreadPool,
     /// Dot-product implementation for pivot-row evaluation.
     dots: DotKind,
-    /// Overlapped-communication pipeline (see [`DistConfig::overlap`]).
-    overlap: bool,
     /// Dense scratch the pivot row is scattered into (`DotKind::Scatter`).
     pad: ScratchPad,
     /// LRU cache of pivot kernel rows over the active span, keyed by
@@ -317,7 +280,6 @@ impl<'a> RankState<'a> {
             sq,
             pool: ThreadPool::new(cfg.threads),
             dots: cfg.dots,
-            overlap: cfg.overlap,
             pad: ScratchPad::new(ds.x.ncols()),
             row_cache: cache_on
                 .then(|| KernelCache::with_byte_budget(cfg.params.cache_bytes, ln.max(1))),
@@ -522,30 +484,6 @@ impl<'a> RankState<'a> {
             },
             |a, b| (MinLoc::combine(a.0, b.0), MaxLoc::combine(a.1, b.1)),
         )
-    }
-
-    /// Launch the fused MINLOC+MAXLOC candidate reduction. Under the
-    /// overlap pipeline this is a nonblocking collective — the caller's
-    /// tail work advances the clock while it is in flight — otherwise a
-    /// blocking round at the same program point. The combine sequence is
-    /// identical either way, so the selected pair is bit-identical.
-    fn post_candidates(&self, comm: &mut Comm, min: MinLoc, max: MaxLoc) -> PendingCand {
-        if self.overlap {
-            PendingCand::InFlight(comm.iallreduce_minloc_maxloc(min, max))
-        } else {
-            let (u, l) = comm.allreduce_minloc_maxloc(min, max);
-            PendingCand::Ready(u, l)
-        }
-    }
-
-    /// The pivot decision: resolve the pending candidate reduction,
-    /// clamping this rank's clock to the collective's completion when the
-    /// tail did not fully hide it.
-    fn take_candidates(comm: &mut Comm, pending: PendingCand) -> (MinLoc, MaxLoc) {
-        match pending {
-            PendingCand::Ready(u, l) => (u, l),
-            PendingCand::InFlight(req) => decode_minloc_maxloc(&comm.coll_wait(req)),
-        }
     }
 
     /// Gather a local sample into a wire record.
@@ -798,18 +736,14 @@ impl<'a> RankState<'a> {
     /// One optimization phase: iterate until `β_up + 2·phase_eps > β_low`
     /// on the active set (or the iteration cap).
     ///
-    /// The loop is a software pipeline over the per-iteration candidate
-    /// reduction. The fused γ-update/shrink sweep folds the *next*
-    /// iteration's worst-violator candidates as it rewrites the
-    /// gradients (the sweep **head**), posts one fused MINLOC+MAXLOC
-    /// collective, then runs the shrink bookkeeping and the survivors
-    /// reduction (the sweep **tail**) with that collective in flight;
-    /// the only wait is the pivot decision at the top of the next
-    /// iteration. The prologue scan seeds the pipeline, and every phase
-    /// exit passes through the pivot decision, so no request is ever
-    /// left outstanding. Value flow is identical to the unpipelined
-    /// loop — the candidate fold is a total-order selection, so neither
-    /// the fusion nor the initiation point can change what it returns.
+    /// The fused γ-update/shrink sweep folds the *next* iteration's
+    /// worst-violator candidates as it rewrites the gradients (the sweep
+    /// **head**), then one fused MINLOC+MAXLOC allreduce selects the
+    /// global pair before the shrink bookkeeping and the survivors
+    /// reduction (the sweep **tail**). The prologue scan seeds the first
+    /// pair. Value flow is identical to a separate scan per iteration —
+    /// the candidate fold is a total-order selection, so the fusion
+    /// cannot change what it returns.
     fn run_phase(
         &mut self,
         comm: &mut Comm,
@@ -818,9 +752,9 @@ impl<'a> RankState<'a> {
     ) -> Result<PhaseEnd, CoreError> {
         let mut stall = 0u64;
         let (seed_up, seed_low) = self.local_candidates();
-        let mut pending = self.post_candidates(comm, seed_up, seed_low);
+        let mut cand = comm.allreduce_minloc_maxloc(seed_up, seed_low);
         loop {
-            let (up, low) = Self::take_candidates(comm, pending);
+            let (up, low) = cand;
             self.last_betas = (up.value, low.value);
             self.maybe_checkpoint(comm);
             let gap = low.value - up.value;
@@ -1029,22 +963,20 @@ impl<'a> RankState<'a> {
             }
             self.trace.sum_active_local += m as u128;
             self.trace.kernel_evals += evals;
-            // Head charge: identical clock arithmetic to advance_compute
-            // (the hot-path byte-identity tests pin this), with the
-            // always-hit alternative riding along for the PerfDoctor
-            // infinite-cache projection.
-            charge_sweep_head(comm, sweep_cost, sweep_alt);
+            // Head charge: pivot triple, kernel rows and the γ-update
+            // chunks, with the always-hit alternative riding along for
+            // the PerfDoctor infinite-cache projection.
+            comm.advance_compute_classed(sweep_cost, "fused_sweep", Some(sweep_alt));
             comm.trace_span("fused_sweep", "solver", sweep_t0, comm.clock());
-            // The candidate payload is complete: launch next iteration's
-            // fused reduction before the sweep tail, so the tail's
-            // bookkeeping and survivors reduction run with it in flight.
-            pending = self.post_candidates(comm, next_up, next_low);
+            // The candidate payload is complete: select next iteration's
+            // pair in one fused round.
+            cand = comm.allreduce_minloc_maxloc(next_up, next_low);
 
             if shrink_pass {
                 // Sweep tail: fold the surviving positions back into the
                 // flags, compact the cached rows to the surviving span, and
                 // rebuild the active list — all ordered, so independent of
-                // chunking, and none of it gates the in-flight reduction.
+                // chunking.
                 let mut ki = 0usize;
                 for (pos, &li32) in self.active_list.iter().enumerate() {
                     if ki < keep.len() && keep[ki] == pos {
@@ -1060,7 +992,8 @@ impl<'a> RankState<'a> {
                     self.active_list = keep.iter().map(|&p| self.active_list[p]).collect();
                 }
                 let tail_t0 = comm.clock();
-                charge_sweep_tail(comm, (m + keep.len()) as f64 * self.charge.fma_per_elem);
+                let tail_cost = (m + keep.len()) as f64 * self.charge.fma_per_elem;
+                comm.advance_compute_classed(tail_cost, "sweep_tail", None);
                 comm.trace_span("sweep_tail", "solver", tail_t0, comm.clock());
                 let global_active = comm.allreduce_u64_sum(survivors);
                 self.shrink_countdown = Some(match self.subsequent {
@@ -1145,24 +1078,6 @@ impl<'a> RankState<'a> {
         }
         SvmModel::new(self.kind, b.finish(), coef, bias)
     }
-}
-
-/// Charge the head of the split sweep: pivot-triple evaluation, kernel
-/// row acquisition and the γ-update chunks — everything that gates the
-/// fused candidate payload. Exactly one classed clock addition, with the
-/// always-hit (`warm_alt`) alternative feeding the PerfDoctor
-/// infinite-cache projection. Named `charge_sweep_*` so the D3
-/// charge-coverage lint recognizes the split sweep's two charge points.
-fn charge_sweep_head(comm: &mut Comm, cost: f64, warm_alt: f64) {
-    comm.advance_compute_classed(cost, "fused_sweep", Some(warm_alt));
-}
-
-/// Charge the tail of the split sweep: the shrink pass's keep-fold and
-/// active-list compaction — work that does not gate the candidate
-/// payload and therefore executes with the fused reduction in flight.
-/// The kernel cache could not help it (no alternative cost).
-fn charge_sweep_tail(comm: &mut Comm, cost: f64) {
-    comm.advance_compute_classed(cost, "sweep_tail", None);
 }
 
 /// Run the distributed trainer on this rank. Every rank of the universe

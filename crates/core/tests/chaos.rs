@@ -92,40 +92,6 @@ fn crash_with_checkpointing_recovers_the_exact_model_across_seeds() {
 }
 
 #[test]
-fn crash_with_an_outstanding_nonblocking_collective_recovers_the_exact_model() {
-    // The overlapped pipeline keeps a fused candidate reduction in flight
-    // for most of every iteration, so a mid-run crash almost surely lands
-    // while a nonblocking collective is outstanding (crashes fire inside
-    // `coll_wait`, exactly where the pipeline blocks). Recovery must
-    // abandon the in-flight request with the attempt and replay from the
-    // checkpoint to the bit-identical fault-free model.
-    for seed in [61u64, 62] {
-        let ds = blobs(seed);
-        let clean = DistSolver::new(&ds, params())
-            .with_processes(3)
-            .with_overlap(true)
-            .train()
-            .expect("fault-free overlapped run trains");
-        let fp = plan(seed).crash_rank(1, 0.6 * clean.makespan);
-        let run = DistSolver::new(&ds, params())
-            .with_processes(3)
-            .with_overlap(true)
-            .with_faults(fp)
-            .with_checkpointing(CheckpointPolicy::every(8))
-            .train()
-            .expect("crash must be recovered");
-        assert!(run.converged, "seed {seed}: recovered run converges");
-        assert_eq!(run.recoveries, 1, "seed {seed}: exactly one restart");
-        assert_eq!(
-            model_bytes(&run.model),
-            model_bytes(&clean.model),
-            "seed {seed}: recovery with an in-flight collective must \
-             reproduce the fault-free model bit-for-bit"
-        );
-    }
-}
-
-#[test]
 fn crash_without_checkpointing_fails_fast_with_named_diagnosis() {
     let ds = blobs(4);
     let clean = baseline(&ds, 2);

@@ -2,9 +2,9 @@
 //! dots, the shrink-aware kernel row cache and intra-rank threading — is a
 //! pure performance layer. At a fixed process count the solver trajectory
 //! is a function of the problem alone, so every combination of
-//! {thread count} × {cache on/off} × {dot implementation} × {overlapped
-//! communication on/off} must produce a **byte-identical** model and an
-//! identical iteration count; only the simulated clock may move.
+//! {thread count} × {cache on/off} × {dot implementation} must produce a
+//! **byte-identical** model and an identical iteration count; only the
+//! simulated clock may move.
 //!
 //! The suite also drives the cache through the two events that rebuild the
 //! active span wholesale — gradient reconstruction and a checkpoint restore
@@ -23,7 +23,6 @@ use shrinksvm_sparse::Dataset;
 const THREADS: [usize; 3] = [1, 2, 4];
 const DOTS: [DotKind; 2] = [DotKind::MergeJoin, DotKind::Scatter];
 const CACHE: [usize; 2] = [0, 1 << 20];
-const OVERLAP: [bool; 2] = [false, true];
 const SEEDS: [u64; 3] = [11, 12, 13];
 
 fn blobs(seed: u64) -> Dataset {
@@ -37,19 +36,11 @@ fn params(cache_bytes: usize) -> SvmParams {
         .with_cache_bytes(cache_bytes)
 }
 
-fn run(
-    ds: &Dataset,
-    p: usize,
-    threads: usize,
-    dots: DotKind,
-    cache_bytes: usize,
-    overlap: bool,
-) -> DistRunResult {
+fn run(ds: &Dataset, p: usize, threads: usize, dots: DotKind, cache_bytes: usize) -> DistRunResult {
     DistSolver::new(ds, params(cache_bytes))
         .with_processes(p)
         .with_threads(threads)
         .with_dots(dots)
-        .with_overlap(overlap)
         .train()
         .expect("training succeeds")
 }
@@ -65,22 +56,18 @@ fn every_hotpath_config_is_byte_identical() {
     for seed in SEEDS {
         let ds = blobs(seed);
         // Reference: the pre-optimization configuration (sequential
-        // merge-join, no cache, one worker, blocking collectives).
-        let reference = run(&ds, 2, 1, DotKind::MergeJoin, 0, false);
+        // merge-join, no cache, one worker).
+        let reference = run(&ds, 2, 1, DotKind::MergeJoin, 0);
         let ref_bytes = model_bytes(&reference.model);
         for threads in THREADS {
             for dots in DOTS {
                 for cache_bytes in CACHE {
-                    for overlap in OVERLAP {
-                        let r = run(&ds, 2, threads, dots, cache_bytes, overlap);
-                        let tag = format!(
-                            "seed={seed} threads={threads} dots={dots:?} \
-                             cache={cache_bytes} overlap={overlap}"
-                        );
-                        assert_eq!(reference.iterations, r.iterations, "{tag}: iterations");
-                        assert_eq!(ref_bytes, model_bytes(&r.model), "{tag}: model bytes");
-                        assert!(r.converged, "{tag}: converged");
-                    }
+                    let r = run(&ds, 2, threads, dots, cache_bytes);
+                    let tag =
+                        format!("seed={seed} threads={threads} dots={dots:?} cache={cache_bytes}");
+                    assert_eq!(reference.iterations, r.iterations, "{tag}: iterations");
+                    assert_eq!(ref_bytes, model_bytes(&r.model), "{tag}: model bytes");
+                    assert!(r.converged, "{tag}: converged");
                 }
             }
         }
@@ -90,8 +77,8 @@ fn every_hotpath_config_is_byte_identical() {
 #[test]
 fn hotpath_identity_holds_on_a_single_rank_too() {
     let ds = blobs(17);
-    let reference = run(&ds, 1, 1, DotKind::MergeJoin, 0, false);
-    let fast = run(&ds, 1, 4, DotKind::Scatter, 1 << 20, true);
+    let reference = run(&ds, 1, 1, DotKind::MergeJoin, 0);
+    let fast = run(&ds, 1, 4, DotKind::Scatter, 1 << 20);
     assert_eq!(reference.iterations, fast.iterations);
     assert_eq!(model_bytes(&reference.model), model_bytes(&fast.model));
 }
@@ -102,8 +89,8 @@ fn optimized_config_cuts_simulated_time() {
     // cache converts repeat pivot evaluations into lookups and the threads
     // divide the sweep's critical path.
     let ds = blobs(19);
-    let slow = run(&ds, 2, 1, DotKind::MergeJoin, 0, false);
-    let fast = run(&ds, 2, 4, DotKind::Scatter, 1 << 20, true);
+    let slow = run(&ds, 2, 1, DotKind::MergeJoin, 0);
+    let fast = run(&ds, 2, 4, DotKind::Scatter, 1 << 20);
     assert_eq!(model_bytes(&slow.model), model_bytes(&fast.model));
     assert!(
         fast.makespan < slow.makespan,
@@ -144,64 +131,39 @@ fn cache_metrics_and_sweep_span_are_recorded() {
 }
 
 #[test]
-fn overlap_fuses_candidate_collectives_and_keeps_the_model() {
-    // The pipelined sweep folds next iteration's MinLoc/MaxLoc candidates
-    // into the γ-sweep and ships them as ONE fused reduction per iteration
-    // (β rides the pivot broadcast); before fusion the candidate exchange
-    // cost two blocking rounds. The trace makes that budget checkable:
-    // with overlap on the fused round is a nonblocking "iallreduce" span,
-    // with overlap off the *same* round runs blocking at the same program
-    // point. Either way the pivot selections — and hence the model — must
-    // be bit-identical, and rank 0's candidate rounds per iteration stay
-    // well under the pre-fusion 2×.
+fn fused_candidate_round_keeps_the_collective_budget() {
+    // The sweep folds next iteration's MinLoc/MaxLoc candidates into the
+    // γ-update and ships them as ONE fused allreduce per iteration (β
+    // rides the pivot broadcast); before fusion the candidate exchange
+    // cost two rounds. The trace makes that budget checkable: rank 0's
+    // allreduce spans — the fused round plus the occasional survivors
+    // count — stay well under the pre-fusion 2× per iteration.
     let ds = blobs(29);
-    let traced = |overlap: bool| {
-        DistSolver::new(&ds, params(1 << 20))
-            .with_processes(3)
-            .with_threads(2)
-            .with_dots(DotKind::Scatter)
-            .with_overlap(overlap)
-            .with_tracing()
-            .train()
-            .expect("training succeeds")
-    };
-    let on = traced(true);
-    let off = traced(false);
-    assert_eq!(on.iterations, off.iterations, "iteration count");
-    assert_eq!(
-        model_bytes(&on.model),
-        model_bytes(&off.model),
-        "overlap toggle must not change the model"
-    );
-
-    // Count rank-0 collective spans by name.
-    let spans = |r: &DistRunResult, which: &str| {
-        r.timeline
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(e, TraceEvent::Span { track, name, cat, .. }
-                    if *track == 0 && cat == "coll" && name == which)
-            })
-            .count()
-    };
-    let iters = on.iterations as usize;
-    let (ia_on, ar_on) = (spans(&on, "iallreduce"), spans(&on, "allreduce"));
-    let (ia_off, ar_off) = (spans(&off, "iallreduce"), spans(&off, "allreduce"));
+    let r = DistSolver::new(&ds, params(1 << 20))
+        .with_processes(3)
+        .with_threads(2)
+        .with_dots(DotKind::Scatter)
+        .with_tracing()
+        .train()
+        .expect("training succeeds");
+    assert!(r.converged);
+    let iters = r.iterations as usize;
+    let allreduces = r
+        .timeline
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(e, TraceEvent::Span { track, name, cat, .. }
+                if *track == 0 && cat == "coll" && name == "allreduce")
+        })
+        .count();
     assert!(
-        ia_on >= iters,
-        "overlap on: one nonblocking fused round per iteration (got {ia_on} for {iters} iters)"
-    );
-    assert_eq!(ia_off, 0, "overlap off posts no nonblocking collectives");
-    // Fused candidate round + occasional survivors-count round: strictly
-    // fewer collective spans than the two-round pre-fusion exchange.
-    assert!(
-        ia_on + ar_on < 3 * iters / 2,
-        "overlap on: {ia_on}+{ar_on} allreduce-family spans for {iters} iters"
+        allreduces >= iters,
+        "one fused candidate round per iteration (got {allreduces} for {iters} iters)"
     );
     assert!(
-        ar_off < 3 * iters / 2,
-        "overlap off: {ar_off} allreduce spans for {iters} iters"
+        allreduces < 3 * iters / 2,
+        "{allreduces} allreduce spans for {iters} iters"
     );
 }
 
@@ -214,10 +176,10 @@ fn cache_survives_crash_recovery_with_the_exact_model() {
     // path (threads + cache + scatter) enabled.
     for seed in [31u64, 32] {
         let ds = blobs(seed);
-        let clean = run(&ds, 3, 2, DotKind::Scatter, 1 << 20, true);
+        let clean = run(&ds, 3, 2, DotKind::Scatter, 1 << 20);
         // Also pin the clean optimized run to the unoptimized reference
         // before injecting any faults.
-        let reference = run(&ds, 3, 1, DotKind::MergeJoin, 0, false);
+        let reference = run(&ds, 3, 1, DotKind::MergeJoin, 0);
         assert_eq!(model_bytes(&clean.model), model_bytes(&reference.model));
         let fp = FaultPlan::new(seed).crash_rank(1, 0.5 * clean.makespan);
         let recovered = DistSolver::new(&ds, params(1 << 20))

@@ -4,7 +4,7 @@
 
 use shrinksvm_analyze::{CollectiveKind, Fingerprint};
 
-use crate::comm::{CollRequest, Comm};
+use crate::comm::Comm;
 use crate::reduce::{MaxLoc, MinLoc};
 
 /// Collective tags live above the user namespace: bit 63 set, then the
@@ -221,32 +221,6 @@ impl Comm {
         u64::from_le_bytes(out[..8].try_into().unwrap())
     }
 
-    /// Nonblocking generic allreduce (`MPI_Iallreduce` analog): initiate
-    /// the collective and return a [`CollRequest`] whose payload becomes
-    /// available at [`Comm::coll_wait`]. Compute charged between
-    /// initiation and wait overlaps the collective — only the unhidden
-    /// residue of its latency costs simulated time. The combine sequence
-    /// is identical to [`Comm::allreduce_with`], so the result is bitwise
-    /// equal to the blocking call's.
-    pub fn iallreduce_with<F>(&mut self, mine: Vec<u8>, combine: F) -> CollRequest
-    where
-        F: Fn(&[u8], &[u8]) -> Vec<u8>,
-    {
-        let t0 = self.icoll_begin();
-        let result = self.allreduce_with_inner(mine, combine);
-        let done = self.icoll_end("iallreduce", t0);
-        CollRequest::new(result, t0, done, "iallreduce")
-    }
-
-    /// Nonblocking broadcast from `root` (`MPI_Ibcast` analog); same
-    /// initiation/wait semantics as [`Comm::iallreduce_with`].
-    pub fn ibcast(&mut self, root: usize, data: &[u8]) -> CollRequest {
-        let t0 = self.icoll_begin();
-        let result = self.bcast_inner(root, data);
-        let done = self.icoll_end("ibcast", t0);
-        CollRequest::new(result, t0, done, "ibcast")
-    }
-
     /// MINLOC allreduce: globally smallest value with its carried index.
     pub fn allreduce_minloc(&mut self, mine: MinLoc) -> MinLoc {
         let out = self.allreduce_with(mine.encode().to_vec(), |a, b| {
@@ -278,14 +252,6 @@ impl Comm {
             combine_minloc_maxloc(a, b)
         });
         unpack_minloc_maxloc(&out)
-    }
-
-    /// Nonblocking fused MINLOC+MAXLOC allreduce; decode the payload
-    /// returned by [`Comm::coll_wait`] with [`decode_minloc_maxloc`].
-    pub fn iallreduce_minloc_maxloc(&mut self, min: MinLoc, max: MaxLoc) -> CollRequest {
-        self.iallreduce_with(pack_minloc_maxloc(min, max), |a, b| {
-            combine_minloc_maxloc(a, b)
-        })
     }
 
     /// Gather variable-sized payloads at `root` (binomial-tree merge).
@@ -530,118 +496,11 @@ fn unpack_minloc_maxloc(bytes: &[u8]) -> (MinLoc, MaxLoc) {
     (MinLoc::decode(&bytes[..16]), MaxLoc::decode(&bytes[16..]))
 }
 
-/// Decode the payload a fused [`Comm::iallreduce_minloc_maxloc`] request
-/// hands back from [`Comm::coll_wait`].
-pub fn decode_minloc_maxloc(bytes: &[u8]) -> (MinLoc, MaxLoc) {
-    unpack_minloc_maxloc(bytes)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::decode_minloc_maxloc;
     use crate::reduce::{MaxLoc, MinLoc};
     use crate::universe::Universe;
     use crate::CostParams;
-
-    fn sum_combine(a: &[u8], b: &[u8]) -> Vec<u8> {
-        let fa = f64::from_le_bytes(a.try_into().unwrap());
-        let fb = f64::from_le_bytes(b.try_into().unwrap());
-        (fa + fb).to_le_bytes().to_vec()
-    }
-
-    #[test]
-    fn iallreduce_matches_blocking_bit_for_bit() {
-        for p in 1..=6 {
-            let blocking = Universe::new(p).run(|c| c.allreduce_f64_sum((c.rank() + 1) as f64));
-            let overlapped = Universe::new(p).run(|c| {
-                let mine = ((c.rank() + 1) as f64).to_le_bytes().to_vec();
-                let req = c.iallreduce_with(mine, sum_combine);
-                c.advance_compute(0.125);
-                let out = c.coll_wait(req);
-                f64::from_le_bytes(out[..8].try_into().unwrap())
-            });
-            for (a, b) in blocking.iter().zip(&overlapped) {
-                assert_eq!(a.value.to_bits(), b.value.to_bits(), "p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_compute_hides_collective_latency() {
-        let cost = CostParams {
-            latency: 1.0,
-            gap_per_byte: 0.0,
-            send_overhead: 0.0,
-        };
-        let blocking = Universe::new(4).with_cost(cost).run(|c| {
-            c.allreduce_f64_sum(1.0);
-            c.advance_compute(10.0);
-            c.clock()
-        });
-        let overlapped = Universe::new(4).with_cost(cost).run(|c| {
-            let req = c.iallreduce_with(1.0f64.to_le_bytes().to_vec(), sum_combine);
-            c.advance_compute(10.0);
-            c.coll_wait(req);
-            (c.clock(), c.stats())
-        });
-        for (b, o) in blocking.iter().zip(&overlapped) {
-            let (clock, stats) = o.value;
-            // 10s of compute fully covers the ~2 latency-bound rounds.
-            assert_eq!(clock, 10.0);
-            assert!(
-                clock < b.value,
-                "overlap must beat blocking ({clock} vs {})",
-                b.value
-            );
-            assert_eq!(stats.icolls, 1);
-            assert_eq!(stats.overlap_wait, 0.0);
-            assert!(stats.overlap_covered > 0.0);
-            assert_eq!(stats.idle_time, 0.0);
-        }
-    }
-
-    #[test]
-    fn unhidden_wait_residue_clamps_to_the_blocking_clock() {
-        let cost = CostParams {
-            latency: 1.0,
-            gap_per_byte: 0.0,
-            send_overhead: 0.0,
-        };
-        let blocking = Universe::new(4).with_cost(cost).run(|c| {
-            c.allreduce_f64_sum(1.0);
-            c.clock()
-        });
-        // No compute between initiation and wait: the whole collective
-        // latency is unhidden residue and the clock lands exactly where
-        // the blocking call would have put it.
-        let overlapped = Universe::new(4).with_cost(cost).run(|c| {
-            let req = c.iallreduce_with(1.0f64.to_le_bytes().to_vec(), sum_combine);
-            let done = req.done();
-            c.coll_wait(req);
-            (c.clock(), done, c.stats())
-        });
-        for (b, o) in blocking.iter().zip(&overlapped) {
-            let (clock, done, stats) = o.value;
-            assert_eq!(clock.to_bits(), b.value.to_bits());
-            assert_eq!(clock.to_bits(), done.to_bits());
-            assert_eq!(stats.overlap_covered, 0.0);
-            assert!((stats.overlap_wait - done).abs() < 1e-12, "posted at 0");
-            assert!((stats.transfer_time - done).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ibcast_delivers_the_root_payload() {
-        let out = Universe::new(5).run(|c| {
-            let data = if c.rank() == 2 { vec![7, 8, 9] } else { vec![] };
-            let req = c.ibcast(2, &data);
-            c.advance_compute(0.5);
-            c.coll_wait(req)
-        });
-        for o in &out {
-            assert_eq!(o.value, vec![7, 8, 9]);
-        }
-    }
 
     #[test]
     fn fused_minloc_maxloc_matches_separate_rounds() {
@@ -664,74 +523,6 @@ mod tests {
             assert_eq!(o.value.0 .1, o.value.1 .1);
             // two separate rounds plus ONE fused round
             assert_eq!(o.value.2, 3);
-        }
-    }
-
-    #[test]
-    fn nonblocking_fused_minloc_maxloc_roundtrips() {
-        let out = Universe::new(4).run(|c| {
-            let min = MinLoc {
-                value: -(c.rank() as f64),
-                index: c.rank() as u64,
-            };
-            let max = MaxLoc {
-                value: c.rank() as f64,
-                index: c.rank() as u64,
-            };
-            let req = c.iallreduce_minloc_maxloc(min, max);
-            c.advance_compute(0.25);
-            decode_minloc_maxloc(&c.coll_wait(req))
-        });
-        for o in &out {
-            assert_eq!(
-                o.value.0,
-                MinLoc {
-                    value: -3.0,
-                    index: 3
-                }
-            );
-            assert_eq!(
-                o.value.1,
-                MaxLoc {
-                    value: 3.0,
-                    index: 3
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn overlapped_traced_run_replays_bit_exactly() {
-        use shrinksvm_obs::PerfDoctor;
-        let cost = CostParams {
-            latency: 1e-3,
-            gap_per_byte: 1e-6,
-            send_overhead: 1e-4,
-        };
-        let (outcomes, _report, _timeline, deps) = Universe::new(4)
-            .with_cost(cost)
-            .with_tracing()
-            .run_try_observed(|c| {
-                // a mix of hidden and unhidden waits plus ordinary traffic
-                let r1 = c.iallreduce_with(1.0f64.to_le_bytes().to_vec(), sum_combine);
-                c.advance_compute(5e-3);
-                c.coll_wait(r1);
-                let r2 = c.iallreduce_with(2.0f64.to_le_bytes().to_vec(), sum_combine);
-                c.coll_wait(r2);
-                c.allreduce_f64_sum(3.0);
-                let req = c.ibcast(0, &[c.rank() as u8]);
-                c.advance_compute(1e-5);
-                c.coll_wait(req);
-                c.clock()
-            })
-            .expect("no faults installed");
-        let doc = PerfDoctor::analyze(&deps, 0.0).expect("bit-exact replay + attribution");
-        let makespan = outcomes.iter().map(|o| o.value).fold(0.0f64, f64::max);
-        assert_eq!(doc.makespan.to_bits(), makespan.to_bits());
-        // the wait residue must reconcile: per-rank buckets sum to the
-        // makespan even with virtual windows in the log
-        for b in &doc.attribution.per_rank {
-            assert!((b.total() - doc.makespan).abs() <= 1e-9 * doc.makespan);
         }
     }
 

@@ -41,51 +41,6 @@ pub enum Request {
     },
 }
 
-/// A nonblocking-collective handle (`MPI_Iallreduce`/`MPI_Ibcast` analog),
-/// created by [`Comm::iallreduce_with`]-family initiators and completed by
-/// [`Comm::coll_wait`].
-///
-/// The simulator executes the collective *eagerly at initiation* on a
-/// virtual clock (SPMD order guarantees every rank reaches the initiation
-/// point, so the wall-clock blocking inside is invisible): the combined
-/// result and the virtual completion time are captured, then the caller's
-/// clock is rewound to the initiation instant so its compute can advance
-/// concurrently with the in-flight collective. `coll_wait` charges only
-/// the *unhidden residue* `max(0, done − clock)` — compute issued between
-/// initiation and wait hides that much of the collective's latency.
-#[derive(Debug)]
-pub struct CollRequest {
-    /// The collective's combined payload, identical on every rank.
-    result: Vec<u8>,
-    /// Simulated clock at initiation.
-    posted: f64,
-    /// Virtual completion time of the collective on this rank.
-    done: f64,
-    /// Collective name for trace spans (`"iallreduce"`, `"ibcast"`).
-    name: &'static str,
-}
-
-impl CollRequest {
-    pub(crate) fn new(result: Vec<u8>, posted: f64, done: f64, name: &'static str) -> Self {
-        CollRequest {
-            result,
-            posted,
-            done,
-            name,
-        }
-    }
-
-    /// Simulated clock at initiation.
-    pub fn posted(&self) -> f64 {
-        self.posted
-    }
-
-    /// The virtual completion time this rank's wait will clamp to.
-    pub fn done(&self) -> f64 {
-        self.done
-    }
-}
-
 /// The per-rank handle to the simulated machine: identity, point-to-point
 /// operations, collectives (in [`crate::collectives`]), the simulated clock
 /// and activity counters.
@@ -121,11 +76,6 @@ pub struct Comm {
     send_seq: Vec<u64>,
     /// Which slowdown rules were already recorded in the fault ledger.
     slow_recorded: Vec<bool>,
-    /// True while a nonblocking collective is being executed eagerly on
-    /// the virtual clock: receive waits inside the window are concurrent
-    /// with the caller's upcoming compute, so they must not book
-    /// idle/transfer stats or `recv_wait` spans.
-    in_overlap: bool,
     /// Simulated-time event recorder for this rank's timeline track
     /// (present only under [`crate::Universe::with_tracing`]).
     tracer: Option<TrackRecorder>,
@@ -179,7 +129,6 @@ impl Comm {
             fault_hits: vec![0; fault_hits],
             send_seq: vec![0; size],
             slow_recorded: vec![false; slow_recorded],
-            in_overlap: false,
             tracer: None,
             dep: None,
             flight: None,
@@ -386,6 +335,8 @@ impl Comm {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let before = self.clock;
         self.clock += self.cost.send_overhead;
+        // Sender CPU overhead is transfer, as in the PerfDoctor attribution.
+        self.stats.transfer_time += self.cost.send_overhead;
         self.maybe_crash();
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += payload.len() as u64;
@@ -726,25 +677,18 @@ impl Comm {
             );
         }
         if arrive > self.clock {
-            if self.in_overlap {
-                // Inside a nonblocking collective's virtual window the
-                // wait is concurrent with the caller's upcoming compute;
-                // only the wait-time residue is booked (by `coll_wait`).
-                self.clock = arrive;
-            } else {
-                let wait = arrive - self.clock;
-                // The stretch before the sender even departed is imbalance
-                // (idle); the rest is wire latency + bytes·G + any injected
-                // in-flight penalty (transfer).
-                let idle = (msg.depart - self.clock).clamp(0.0, wait);
-                self.stats.idle_time += idle;
-                self.stats.transfer_time += wait - idle;
-                if let Some(tr) = &mut self.tracer {
-                    tr.span("recv_wait", "p2p", self.clock, arrive);
-                }
-                self.flight_span("recv_wait", "p2p", self.clock, arrive);
-                self.clock = arrive;
+            let wait = arrive - self.clock;
+            // The stretch before the sender even departed is imbalance
+            // (idle); the rest is wire latency + bytes·G + any injected
+            // in-flight penalty (transfer).
+            let idle = (msg.depart - self.clock).clamp(0.0, wait);
+            self.stats.idle_time += idle;
+            self.stats.transfer_time += wait - idle;
+            if let Some(tr) = &mut self.tracer {
+                tr.span("recv_wait", "p2p", self.clock, arrive);
             }
+            self.flight_span("recv_wait", "p2p", self.clock, arrive);
+            self.clock = arrive;
         }
         if self.monitor.validate {
             if self.clock + 1e-9 < arrive {
@@ -796,85 +740,6 @@ impl Comm {
     pub fn sendrecv(&mut self, partner: usize, tag: u64, payload: &[u8]) -> Vec<u8> {
         self.send(partner, tag, payload);
         self.recv(partner, tag)
-    }
-
-    // -------------------------------------------- nonblocking collectives
-
-    /// Open a nonblocking collective's virtual-clock window: record the
-    /// initiation instant and switch receive accounting to overlapped
-    /// mode. The collective body then runs eagerly with `self.clock`
-    /// acting as the virtual clock.
-    pub(crate) fn icoll_begin(&mut self) -> f64 {
-        assert!(
-            !self.in_overlap,
-            "rank {}: nonblocking collectives do not nest",
-            self.rank
-        );
-        let t0 = self.clock;
-        self.in_overlap = true;
-        if let Some(dep) = &mut self.dep {
-            dep.icoll_start(t0);
-        }
-        t0
-    }
-
-    /// Close the virtual-clock window opened by [`Comm::icoll_begin`]:
-    /// capture the virtual completion time, label the in-flight interval
-    /// on the timeline and in the dependency log, then rewind the clock
-    /// to the initiation instant so the caller's compute overlaps the
-    /// collective. Returns the captured completion time.
-    pub(crate) fn icoll_end(&mut self, name: &'static str, t0: f64) -> f64 {
-        debug_assert!(self.in_overlap, "icoll_end without icoll_begin");
-        let done = self.clock;
-        // The labeling interval comes before the window-closing marker so
-        // `coll_labels` attaches `name` to the inner sends/receives.
-        self.trace_span(name, "coll", t0, done);
-        self.dep_coll(name, t0, done);
-        if let Some(dep) = &mut self.dep {
-            dep.icoll_done(t0, done);
-        }
-        self.clock = t0;
-        self.in_overlap = false;
-        self.stats.icolls += 1;
-        done
-    }
-
-    /// Complete a nonblocking collective (`MPI_Wait` on a collective
-    /// request): clamp the clock to the collective's virtual completion
-    /// time and return its combined payload. Compute charged between
-    /// initiation and this call hides that much of the collective's
-    /// latency — only the unhidden residue costs simulated time, booked
-    /// as transfer (the fabric was the holdup, not a slow peer).
-    ///
-    /// Requests must be waited on in initiation order (FIFO), matching
-    /// the replay's matching rule.
-    pub fn coll_wait(&mut self, req: CollRequest) -> Vec<u8> {
-        let CollRequest {
-            result,
-            posted,
-            done,
-            name,
-        } = req;
-        let t0 = self.clock;
-        if let Some(dep) = &mut self.dep {
-            dep.icoll_wait(t0);
-        }
-        let duration = done - posted;
-        if done > t0 {
-            let residue = done - t0;
-            self.stats.transfer_time += residue;
-            self.stats.overlap_wait += residue;
-            self.stats.overlap_covered += (duration - residue).max(0.0);
-            if let Some(tr) = &mut self.tracer {
-                tr.span(name, "coll_wait", t0, done);
-            }
-            self.flight_span(name, "coll_wait", t0, done);
-            self.clock = done;
-        } else {
-            self.stats.overlap_covered += duration;
-        }
-        self.maybe_crash();
-        result
     }
 
     /// User tags must stay below [`MAX_USER_TAG`]. Under validation the
@@ -1109,6 +974,34 @@ mod tests {
         assert_eq!(out[0].stats.bytes_sent, 150);
         assert_eq!(out[1].value.msgs_recv, 2);
         assert_eq!(out[1].value.bytes_recv, 150);
+    }
+
+    #[test]
+    fn stats_buckets_sum_to_the_clock() {
+        // Every clock advance lands in exactly one bucket: compute charges
+        // in compute, send overheads and wire time in transfer, waits on a
+        // peer that had not departed yet in idle.
+        let out = Universe::new(4).with_cost(CostParams::fdr()).run(|c| {
+            let peer = c.rank() ^ 1;
+            c.advance_compute(1e-4 * (1.0 + c.rank() as f64));
+            c.send(peer, 1, &[0; 256]);
+            c.recv(peer, 1);
+            c.allreduce_f64_sum(c.rank() as f64);
+            c.advance_compute(3e-5);
+            c.bcast(2, &[7; 4096]);
+            c.ring_shift(&[c.rank() as u8; 64]);
+            c.barrier();
+        });
+        for o in &out {
+            let s = o.stats;
+            let booked = s.compute_time + s.transfer_time + s.idle_time;
+            assert!(
+                (booked - o.clock).abs() <= 1e-9 * o.clock,
+                "rank clock {} vs booked {booked} ({s:?})",
+                o.clock
+            );
+            assert!(s.transfer_time > 0.0 && s.idle_time > 0.0, "{s:?}");
+        }
     }
 
     #[test]

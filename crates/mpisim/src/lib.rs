@@ -80,8 +80,7 @@ pub mod reduce;
 pub mod stats;
 pub mod universe;
 
-pub use collectives::decode_minloc_maxloc;
-pub use comm::{CollRequest, Comm, Request};
+pub use comm::{Comm, Request};
 pub use cost::CostParams;
 pub use env::{env_u64, EnvVarError};
 pub use fault::{CkptRule, CrashNotice, FaultPlan, LinkFault, LinkRule, RankFault, RankRule};

@@ -19,21 +19,12 @@ pub struct CommStats {
     pub bcasts: u64,
     /// Barriers completed.
     pub barriers: u64,
-    /// Nonblocking collectives initiated (`iallreduce_*` / `ibcast`).
-    pub icolls: u64,
-    /// Simulated seconds spent blocked in [`crate::Comm::coll_wait`] on a
-    /// nonblocking collective that had not finished yet — the *unhidden*
-    /// residue of overlapped communication. Counted inside
-    /// `transfer_time` as well; this field just names the overlap share.
-    pub overlap_wait: f64,
-    /// Simulated seconds of in-flight collective time that compute fully
-    /// covered — communication the overlap pipeline hid from the clock.
-    pub overlap_covered: f64,
     /// Simulated seconds charged as computation.
     pub compute_time: f64,
-    /// Simulated seconds the clock advanced covering wire transfer —
-    /// latency + bytes·G + injected in-flight penalties — of matched
-    /// messages. The bandwidth/latency share of waiting.
+    /// Simulated seconds the clock advanced covering sender CPU overhead
+    /// and the wire transfer — latency + bytes·G + injected in-flight
+    /// penalties — of matched messages. The bandwidth/latency share of
+    /// communication.
     pub transfer_time: f64,
     /// Simulated seconds the clock advanced while the matching message had
     /// not even departed yet — waiting on a slower peer. The
@@ -64,9 +55,6 @@ impl CommStats {
         self.allreduces += other.allreduces;
         self.bcasts += other.bcasts;
         self.barriers += other.barriers;
-        self.icolls += other.icolls;
-        self.overlap_wait += other.overlap_wait;
-        self.overlap_covered += other.overlap_covered;
         self.compute_time += other.compute_time;
         self.transfer_time += other.transfer_time;
         self.idle_time += other.idle_time;
@@ -105,9 +93,6 @@ mod tests {
             allreduces: 3,
             bcasts: 4,
             barriers: 5,
-            icolls: 7,
-            overlap_wait: 0.25,
-            overlap_covered: 0.5,
             compute_time: 0.5,
             transfer_time: 0.1875,
             idle_time: 0.0625,
@@ -123,9 +108,6 @@ mod tests {
         assert_eq!(a.msgs_sent, 2);
         assert_eq!(a.bytes_recv, 40);
         assert_eq!(a.barriers, 10);
-        assert_eq!(a.icolls, 14);
-        assert!((a.overlap_wait - 0.5).abs() < 1e-15);
-        assert!((a.overlap_covered - 1.0).abs() < 1e-15);
         assert!((a.compute_time - 1.0).abs() < 1e-15);
         assert!((a.transfer_time - 0.375).abs() < 1e-15);
         assert!((a.idle_time - 0.125).abs() < 1e-15);

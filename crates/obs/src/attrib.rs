@@ -18,11 +18,6 @@
 //!   **retransmit** (retransmission backoff plus injected delay
 //!   penalties ride the same in-flight penalty channel);
 //! * sender-side CPU overhead is **transfer**;
-//! * a nonblocking collective's virtual window (`IcollStart`…`IcollDone`)
-//!   contributes nothing: its sends/receives run concurrently with the
-//!   caller's compute, which is already booked as **compute**. Only the
-//!   unhidden residue the wait clamps to (`IcollWait`) is charged, as
-//!   **transfer** — the fabric, not a slow peer, was the holdup;
 //! * fault-plan slowdown inflation stays inside **compute** (the rank
 //!   was computing, just slower);
 //! * the gap between a rank's final clock and the makespan is tail
@@ -118,29 +113,16 @@ impl Attribution {
         let mut reconcile_error = 0.0f64;
         for r in 0..log.n_ranks() {
             let mut b = RankBuckets::default();
-            // Inside a nonblocking collective's virtual window the rank
-            // clock is a *virtual* clock: its sends/receives overlap the
-            // caller's compute and must not be double-booked.
-            let mut in_virtual = false;
             for (ev, &(s, e)) in log.rank(r).iter().zip(&clocks[r]) {
                 match *ev {
                     DepEvent::Coll { .. } => {}
-                    DepEvent::IcollStart { .. } => in_virtual = true,
-                    DepEvent::IcollDone { .. } => in_virtual = false,
-                    // The unhidden residue of an overlapped collective:
-                    // wire work the compute could not cover.
-                    DepEvent::IcollWait { .. } => b.transfer += e - s,
                     DepEvent::Compute { .. } => b.compute += e - s,
-                    DepEvent::Send { .. } => {
-                        if !in_virtual {
-                            b.transfer += e - s;
-                        }
-                    }
+                    DepEvent::Send { .. } => b.transfer += e - s,
                     DepEvent::Recv {
                         depart, penalty, ..
                     } => {
                         let wait = e - s;
-                        if !in_virtual && wait > 0.0 {
+                        if wait > 0.0 {
                             let idle = (depart - s).clamp(0.0, wait);
                             let retr = penalty.min(wait - idle);
                             b.idle += idle;
@@ -571,36 +553,6 @@ mod tests {
         // rank 0 idles in the tail: makespan - 1.25 = 0.625.
         let b0 = &doc.attribution.per_rank[0];
         assert!((b0.idle - 0.625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlapped_wait_residue_lands_in_transfer_not_idle() {
-        // Two ranks exchange a message inside a virtual window (virtual
-        // completion 0.75), compute 0.25s, then wait: the 0.5s residue is
-        // transfer, the window's own send/recv contribute nothing.
-        let mut ranks = Vec::new();
-        for r in 0..2u32 {
-            let peer = 1 - r;
-            let mut rec = DepRecorder::new();
-            rec.icoll_start(0.0);
-            rec.send(0.0, 0.25, peer, 9, 0);
-            rec.recv(0.25, peer, 9, 0, 0.25, 0.5, 0.0);
-            rec.coll("iallreduce", 0.0, 0.75);
-            rec.icoll_done(0.0, 0.75);
-            rec.compute(0.0, 0.25, 0.25, "compute");
-            rec.icoll_wait(0.25);
-            ranks.push(rec.finish());
-        }
-        let log = DepLog::from_ranks(ranks);
-        let doc = PerfDoctor::analyze(&log, 0.0).unwrap();
-        assert_eq!(doc.makespan, 0.75);
-        for b in &doc.attribution.per_rank {
-            assert!((b.compute - 0.25).abs() < 1e-12, "{b:?}");
-            assert!((b.transfer - 0.5).abs() < 1e-12, "only the residue: {b:?}");
-            assert_eq!(b.idle, 0.0, "overlapped wait must not read as idle");
-            assert_eq!(b.retransmit, 0.0);
-            assert!((b.total() - doc.makespan).abs() <= 1e-9 * doc.makespan);
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Everything is pure f64 arithmetic over recorded values, so same-seed
 //! runs produce byte-identical analyses.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One simulated-clock mutation (or collective interval) on one rank.
 ///
@@ -89,31 +89,6 @@ pub enum DepEvent {
         /// Clock at exit.
         t1: f64,
     },
-    /// A nonblocking collective's initiation: opens a *virtual-clock
-    /// window*. The simulator executes the collective eagerly with the
-    /// rank clock acting as a virtual clock, so the window's inner
-    /// `Send`/`Recv` events carry virtual times `>= t0`; the matching
-    /// [`DepEvent::IcollDone`] rewinds the clock to `t0`.
-    IcollStart {
-        /// Clock at initiation (the virtual clock's starting value).
-        t0: f64,
-    },
-    /// A nonblocking collective's virtual completion: closes the window
-    /// opened by the matching [`DepEvent::IcollStart`] and rewinds the
-    /// clock to the initiation instant.
-    IcollDone {
-        /// Clock at initiation (the value the rewind restores).
-        t0: f64,
-        /// Virtual completion time the matching wait clamps to.
-        done: f64,
-    },
-    /// A wait on a nonblocking collective:
-    /// `clock = max(clock, done)` where `done` is the matching window's
-    /// completion time (windows and waits match FIFO per rank).
-    IcollWait {
-        /// Clock at wait time (before any jump).
-        t0: f64,
-    },
 }
 
 impl DepEvent {
@@ -123,10 +98,7 @@ impl DepEvent {
             DepEvent::Compute { t0, .. }
             | DepEvent::Send { t0, .. }
             | DepEvent::Recv { t0, .. }
-            | DepEvent::Coll { t0, .. }
-            | DepEvent::IcollStart { t0 }
-            | DepEvent::IcollDone { t0, .. }
-            | DepEvent::IcollWait { t0 } => t0,
+            | DepEvent::Coll { t0, .. } => t0,
         }
     }
 }
@@ -192,25 +164,6 @@ impl DepRecorder {
     /// Record a finished collective's interval.
     pub fn coll(&mut self, name: &'static str, t0: f64, t1: f64) {
         self.events.push(DepEvent::Coll { name, t0, t1 });
-    }
-
-    /// Record a nonblocking collective's initiation (call with the clock
-    /// at the initiation instant, before the eager virtual execution).
-    pub fn icoll_start(&mut self, t0: f64) {
-        self.events.push(DepEvent::IcollStart { t0 });
-    }
-
-    /// Record a nonblocking collective's virtual completion (call with
-    /// the initiation clock and the virtual clock at completion, before
-    /// rewinding the rank clock to `t0`).
-    pub fn icoll_done(&mut self, t0: f64, done: f64) {
-        self.events.push(DepEvent::IcollDone { t0, done });
-    }
-
-    /// Record a wait on a nonblocking collective (call with the clock at
-    /// wait time, before any jump to the completion clock).
-    pub fn icoll_wait(&mut self, t0: f64) {
-        self.events.push(DepEvent::IcollWait { t0 });
     }
 
     /// Events recorded so far.
@@ -313,11 +266,6 @@ pub fn replay(log: &DepLog, mode: WhatIf) -> Result<Replayed, String> {
         .map(|r| Vec::with_capacity(log.rank(r).len()))
         .collect();
     let mut departs: BTreeMap<(u32, u32, u64), f64> = BTreeMap::new();
-    // Virtual-window state for nonblocking collectives: the stashed main
-    // clock while a rank is inside a window, and the FIFO queue of
-    // replayed completion times its waits consume.
-    let mut vstash: Vec<Option<f64>> = vec![None; p];
-    let mut vdones: Vec<VecDeque<f64>> = (0..p).map(|_| VecDeque::new()).collect();
     loop {
         let mut progressed = false;
         for r in 0..p {
@@ -326,9 +274,7 @@ pub fn replay(log: &DepLog, mode: WhatIf) -> Result<Replayed, String> {
                 if verify {
                     if let DepEvent::Compute { t0, .. }
                     | DepEvent::Send { t0, .. }
-                    | DepEvent::Recv { t0, .. }
-                    | DepEvent::IcollStart { t0 }
-                    | DepEvent::IcollWait { t0 } = ev
+                    | DepEvent::Recv { t0, .. } = ev
                     {
                         if clock[r].to_bits() != t0.to_bits() {
                             return Err(format!(
@@ -342,47 +288,6 @@ pub fn replay(log: &DepLog, mode: WhatIf) -> Result<Replayed, String> {
                 let start = clock[r];
                 match *ev {
                     DepEvent::Coll { .. } => {}
-                    DepEvent::IcollStart { .. } => {
-                        if vstash[r].is_some() {
-                            return Err(format!(
-                                "rank {r} event {}: nested nonblocking collective window",
-                                idx[r]
-                            ));
-                        }
-                        // The clock becomes the window's virtual clock;
-                        // the matching IcollDone restores this value.
-                        vstash[r] = Some(clock[r]);
-                    }
-                    DepEvent::IcollDone { done, .. } => {
-                        if verify && clock[r].to_bits() != done.to_bits() {
-                            return Err(format!(
-                                "identity replay diverged on rank {r} event {}: virtual \
-                                 completion {} vs recorded {done} — the dep log is not a \
-                                 faithful transcript",
-                                idx[r], clock[r]
-                            ));
-                        }
-                        let Some(main) = vstash[r].take() else {
-                            return Err(format!(
-                                "rank {r} event {}: collective window closed without opening",
-                                idx[r]
-                            ));
-                        };
-                        vdones[r].push_back(clock[r]);
-                        clock[r] = main;
-                    }
-                    DepEvent::IcollWait { .. } => {
-                        let Some(d) = vdones[r].pop_front() else {
-                            return Err(format!(
-                                "rank {r} event {}: wait without an initiated nonblocking \
-                                 collective",
-                                idx[r]
-                            ));
-                        };
-                        if d > clock[r] {
-                            clock[r] = d;
-                        }
-                    }
                     DepEvent::Compute { secs, alt_secs, .. } => {
                         let charge = if mode == WhatIf::InfiniteCache {
                             alt_secs
@@ -603,37 +508,6 @@ pub fn critical_path(log: &DepLog, replayed: &Replayed) -> CriticalPath {
             }
         }
     }
-    // Virtual-window maps per rank: each IcollDone's matching IcollStart
-    // index (for skipping a whole window the linear walk passes), and
-    // each IcollWait's matching IcollDone index (FIFO, for entering the
-    // window whose completion bound the wait).
-    let mut window_start: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); p];
-    let mut wait_done: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); p];
-    for r in 0..p {
-        let mut open: Option<usize> = None;
-        let mut done_order: Vec<usize> = Vec::new();
-        let mut waits = 0usize;
-        for (i, ev) in log.rank(r).iter().enumerate() {
-            match ev {
-                DepEvent::IcollStart { .. } => open = Some(i),
-                DepEvent::IcollDone { .. } => {
-                    // Comm writes Start strictly before Done on a rank's
-                    // own log, so an unopened window cannot occur here
-                    // (untrusted transcripts are validated by `replay`).
-                    let Some(s) = open.take() else {
-                        unreachable!("IcollDone without an open window")
-                    };
-                    window_start[r].insert(i, s);
-                    done_order.push(i);
-                }
-                DepEvent::IcollWait { .. } => {
-                    wait_done[r].insert(i, done_order[waits]);
-                    waits += 1;
-                }
-                _ => {}
-            }
-        }
-    }
     let labels = coll_labels(log);
 
     let mut rev: Vec<Hop> = Vec::new();
@@ -663,27 +537,7 @@ pub fn critical_path(log: &DepLog, replayed: &Replayed) -> CriticalPath {
         let ev = &log.rank(r)[i];
         let (s, e) = replayed.clocks[r][i];
         match *ev {
-            DepEvent::Coll { .. } | DepEvent::IcollStart { .. } => {}
-            DepEvent::IcollDone { .. } => {
-                // Reached linearly, so the matching wait did not bind (a
-                // binding wait jumps *past* this marker into the window):
-                // the whole virtual window is off the path. Skip to the
-                // initiation marker; the next step visits the event just
-                // before it, whose end clock is the initiation instant.
-                i = window_start[r][&i];
-            }
-            DepEvent::IcollWait { .. } => {
-                if e > s {
-                    // The collective's completion is the binding
-                    // constraint. Its virtual window telescopes from the
-                    // initiation instant (== the pre-initiation chain's
-                    // end) to the completion clock `e`, so the path
-                    // continues inside the window: jump past the
-                    // IcollDone marker and walk the inner events.
-                    i = wait_done[r][&i];
-                    continue 'walk;
-                }
-            }
+            DepEvent::Coll { .. } => {}
             DepEvent::Compute { class, .. } => {
                 if e > s {
                     push(
@@ -804,13 +658,7 @@ pub fn project(log: &DepLog) -> Result<Projections, String> {
         let mut clock = 0.0f64;
         for ev in log.rank(r) {
             match *ev {
-                // Nonblocking-collective markers add nothing locally; the
-                // window's inner sends/receives are counted like blocking
-                // ones — a safe (slightly pessimistic) balance bound.
-                DepEvent::Coll { .. }
-                | DepEvent::IcollStart { .. }
-                | DepEvent::IcollDone { .. }
-                | DepEvent::IcollWait { .. } => {}
+                DepEvent::Coll { .. } => {}
                 DepEvent::Compute { secs, .. } => clock += secs,
                 DepEvent::Send { overhead, .. } => clock += overhead,
                 DepEvent::Recv { wire, penalty, .. } => clock += wire + penalty,
@@ -965,96 +813,6 @@ mod tests {
         assert_eq!(cp.hops.len(), 2);
         assert_eq!(cp.hops[0].count, 2);
         assert_eq!((cp.hops[0].t0, cp.hops[0].t1), (0.0, 2.0));
-    }
-
-    /// Two ranks exchange one message inside a nonblocking collective's
-    /// virtual window (send overhead 0.25, wire 0.5 → virtual completion
-    /// 0.75), then each computes `cover` seconds before waiting.
-    fn overlap_log(cover: f64) -> DepLog {
-        let mut ranks = Vec::new();
-        for r in 0..2u32 {
-            let peer = 1 - r;
-            let mut rec = DepRecorder::new();
-            rec.icoll_start(0.0);
-            rec.send(0.0, 0.25, peer, 9, 0);
-            rec.recv(0.25, peer, 9, 0, 0.25, 0.5, 0.0);
-            rec.coll("iallreduce", 0.0, 0.75);
-            rec.icoll_done(0.0, 0.75);
-            rec.compute(0.0, cover, cover, "compute");
-            rec.icoll_wait(cover);
-            ranks.push(rec.finish());
-        }
-        DepLog::from_ranks(ranks)
-    }
-
-    #[test]
-    fn virtual_windows_replay_bit_exactly() {
-        // Partially hidden: 0.25s of compute against a 0.75s collective.
-        let log = overlap_log(0.25);
-        let rep = replay(&log, WhatIf::Identity).unwrap();
-        assert_eq!(rep.makespan, 0.75);
-        assert_eq!(rep.final_clock, vec![0.75, 0.75]);
-        // Fully hidden: the wait is a no-op and compute sets the clock.
-        let rep = replay(&overlap_log(2.0), WhatIf::Identity).unwrap();
-        assert_eq!(rep.makespan, 2.0);
-    }
-
-    #[test]
-    fn clamped_wait_routes_the_path_through_the_window() {
-        let log = overlap_log(0.25);
-        let rep = replay(&log, WhatIf::Identity).unwrap();
-        let cp = critical_path(&log, &rep);
-        assert_eq!(cp.start.to_bits(), 0.0f64.to_bits());
-        assert_eq!(cp.end.to_bits(), rep.makespan.to_bits());
-        for w in cp.hops.windows(2) {
-            assert_eq!(w[0].t1.to_bits(), w[1].t0.to_bits(), "contiguous");
-        }
-        // the binding chain is the collective itself: the partner's send
-        // overhead then the wire transfer, both labeled by the window
-        assert!(
-            cp.hops.iter().all(|h| h.op == "iallreduce"),
-            "{:?}",
-            cp.hops
-        );
-        assert!(cp.hops.iter().any(|h| h.kind == HopKind::Transfer));
-    }
-
-    #[test]
-    fn covered_windows_stay_off_the_path() {
-        let log = overlap_log(2.0);
-        let rep = replay(&log, WhatIf::Identity).unwrap();
-        let cp = critical_path(&log, &rep);
-        assert_eq!(cp.hops.len(), 1);
-        assert_eq!(cp.hops[0].kind, HopKind::Compute);
-        assert_eq!((cp.hops[0].t0, cp.hops[0].t1), (0.0, 2.0));
-    }
-
-    #[test]
-    fn replay_rejects_malformed_windows() {
-        let mut r0 = DepRecorder::new();
-        r0.icoll_wait(0.0);
-        let log = DepLog::from_ranks(vec![r0.finish()]);
-        let err = replay(&log, WhatIf::Identity).unwrap_err();
-        assert!(err.contains("without an initiated"), "{err}");
-
-        let mut r0 = DepRecorder::new();
-        r0.icoll_start(0.0);
-        r0.icoll_start(0.0);
-        let log = DepLog::from_ranks(vec![r0.finish()]);
-        let err = replay(&log, WhatIf::Identity).unwrap_err();
-        assert!(err.contains("nested"), "{err}");
-    }
-
-    #[test]
-    fn identity_replay_cross_checks_the_virtual_completion() {
-        let mut rec = DepRecorder::new();
-        rec.icoll_start(0.0);
-        rec.compute(0.0, 0.5, 0.5, "compute"); // virtual-clock move
-        rec.icoll_done(0.0, 0.75); // lies: virtual clock is 0.5
-        rec.icoll_wait(0.0);
-        let log = DepLog::from_ranks(vec![rec.finish()]);
-        let err = replay(&log, WhatIf::Identity).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! * **op** is the compute charge class, the enclosing collective's name,
 //!   or `p2p`;
 //! * **charge** separates cache-hit compute from the miss overhead
-//!   (`compute` vs `cache_miss_extra`), compute hidden behind an
-//!   in-flight nonblocking collective (`overlap_covered`) from the
-//!   unhidden wait residue (`overlap_wait`), and splits receives exactly
-//!   like the attribution walk (`peer_wait` / `retransmit` / `wire`).
+//!   (`compute` vs `cache_miss_extra`) and splits receives exactly like
+//!   the attribution walk (`peer_wait` / `retransmit` / `wire`).
 //!
 //! The per-rank trees are reconciled bucket-for-bucket against
 //! [`Attribution::from_log`](crate::attrib::Attribution::from_log) —
@@ -33,7 +31,6 @@ use crate::attrib::{Attribution, RankBuckets};
 use crate::critpath::{coll_labels, replay, DepEvent, DepLog, WhatIf};
 use crate::json::{escape_into, write_f64};
 use crate::timeline::{Event, Timeline};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -166,8 +163,8 @@ impl PhaseIndex {
 /// reconciliation check enforces.
 fn bucket_of(charge: &str) -> &'static str {
     match charge {
-        "compute" | "cache_miss_extra" | "overlap_covered" => "compute",
-        "send_overhead" | "wire" | "overlap_wait" => "transfer",
+        "compute" | "cache_miss_extra" => "compute",
+        "send_overhead" | "wire" => "transfer",
         "peer_wait" | "idle" => "idle",
         "retransmit" => "retransmit",
         _ => "compute",
@@ -228,38 +225,10 @@ impl Profile {
         for r in 0..log.n_ranks() {
             let mut root = ProfileNode::default();
             let mut mine = RankBuckets::default();
-            // Mirror of the attribution walk: `in_virtual` marks a
-            // nonblocking collective's virtual window (its inner traffic
-            // overlaps the caller's compute and is not charged);
-            // `pending` queues completed-but-unawaited windows, FIFO like
-            // the simulator matches waits — compute booked while it is
-            // nonempty is exactly the overlap-covered time.
-            let mut in_virtual = false;
-            let mut window_coll: Option<&'static str> = None;
-            let mut pending: VecDeque<&'static str> = VecDeque::new();
+            // Mirror of the attribution walk.
             for (i, (ev, &(s, e))) in log.rank(r).iter().zip(&rep.clocks[r]).enumerate() {
                 match *ev {
-                    DepEvent::Coll { name, .. } => {
-                        if in_virtual {
-                            window_coll = Some(name);
-                        }
-                    }
-                    DepEvent::IcollStart { .. } => {
-                        in_virtual = true;
-                        window_coll = None;
-                    }
-                    DepEvent::IcollDone { .. } => {
-                        in_virtual = false;
-                        pending.push_back(window_coll.take().unwrap_or("icoll"));
-                    }
-                    DepEvent::IcollWait { .. } => {
-                        let op = pending.pop_front().unwrap_or("icoll");
-                        let d = e - s;
-                        if d > 0.0 {
-                            root.add(&[phases.of(r, s), op, "overlap_wait"], d);
-                        }
-                        mine.transfer += d;
-                    }
+                    DepEvent::Coll { .. } => {}
                     DepEvent::Compute {
                         secs,
                         alt_secs,
@@ -271,34 +240,27 @@ impl Profile {
                         // The all-hit projection bounds the charge from
                         // below; anything above it is miss overhead.
                         let miss = (secs - alt_secs).clamp(0.0, d);
-                        let base = if pending.is_empty() {
-                            "compute"
-                        } else {
-                            "overlap_covered"
-                        };
                         if miss > 0.0 {
                             root.add(&[phase, class, "cache_miss_extra"], miss);
                         }
                         if d - miss > 0.0 {
-                            root.add(&[phase, class, base], d - miss);
+                            root.add(&[phase, class, "compute"], d - miss);
                         }
                         mine.compute += d;
                     }
                     DepEvent::Send { .. } => {
-                        if !in_virtual {
-                            let d = e - s;
-                            if d > 0.0 {
-                                let op = labels[r][i].unwrap_or("p2p");
-                                root.add(&[phases.of(r, s), op, "send_overhead"], d);
-                            }
-                            mine.transfer += d;
+                        let d = e - s;
+                        if d > 0.0 {
+                            let op = labels[r][i].unwrap_or("p2p");
+                            root.add(&[phases.of(r, s), op, "send_overhead"], d);
                         }
+                        mine.transfer += d;
                     }
                     DepEvent::Recv {
                         depart, penalty, ..
                     } => {
                         let wait = e - s;
-                        if !in_virtual && wait > 0.0 {
+                        if wait > 0.0 {
                             let op = labels[r][i].unwrap_or("p2p");
                             let phase = phases.of(r, s);
                             let idle = (depart - s).clamp(0.0, wait);
@@ -771,42 +733,6 @@ mod tests {
             "{sum} vs {}",
             2.0 * p.makespan
         );
-    }
-
-    #[test]
-    fn overlap_covered_and_wait_are_split_out() {
-        // Mirrors the attrib overlapped-wait test: the 0.25s compute runs
-        // while the iallreduce is in flight (covered), the 0.5s residue
-        // is the unhidden wait.
-        let mut ranks = Vec::new();
-        for r in 0..2u32 {
-            let peer = 1 - r;
-            let mut rec = DepRecorder::new();
-            rec.icoll_start(0.0);
-            rec.send(0.0, 0.25, peer, 9, 0);
-            rec.recv(0.25, peer, 9, 0, 0.25, 0.5, 0.0);
-            rec.coll("iallreduce", 0.0, 0.75);
-            rec.icoll_done(0.0, 0.75);
-            rec.compute(0.0, 0.25, 0.25, "sweep_tail");
-            rec.icoll_wait(0.25);
-            ranks.push(rec.finish());
-        }
-        let p = Profile::from_log(&DepLog::from_ranks(ranks)).expect("profile");
-        let folded = p.to_folded();
-        assert!(
-            folded.contains("rank0;main;sweep_tail;overlap_covered 0.25"),
-            "{folded}"
-        );
-        assert!(
-            folded.contains("rank0;main;iallreduce;overlap_wait 0.5"),
-            "{folded}"
-        );
-        // The window's own send/recv contribute nothing.
-        assert!(!folded.contains("send_overhead"), "{folded}");
-        assert!(!folded.contains("wire"), "{folded}");
-        assert!((p.bucket_total("compute") - 0.5).abs() < 1e-12);
-        assert!((p.bucket_total("transfer") - 1.0).abs() < 1e-12);
-        assert_eq!(p.bucket_total("idle"), 0.0);
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //! * `scatter_cache_t1` — plus the shrink-aware pivot-row cache
 //! * `scatter_cache_t4` — plus four intra-rank workers
 //!
-//! A fifth run re-trains the optimized configuration with the
-//! overlapped-communication pipeline disabled (`with_overlap(false)`),
-//! pinning the `makespan_overlap` / `makespan_no_overlap` A/B and the
-//! `collective_rounds_per_iter` budget into the report's extras.
+//! The report's extras pin each configuration's makespan and the
+//! `collective_rounds_per_iter` budget that message fusion holds down.
 //!
 //! Every configuration must produce a **byte-identical** model (the layer
 //! is pure performance), and the full stack must cut the simulated
@@ -22,9 +20,7 @@
 //! (observation only: it cannot move simulated time) and its PerfDoctor
 //! analysis — exact critical path, makespan attribution, what-if
 //! projections — is written as `PERF_hotpath.{json,txt}`, its
-//! hierarchical time profile as `PROFILE_hotpath.{folded,svg,json}`, and
-//! the no-overlap run's analysis as `PERF_hotpath_no_overlap.json` so
-//! `cargo xtask perf-diff` can explain the overlap win mechanically. All
+//! hierarchical time profile as `PROFILE_hotpath.{folded,svg,json}`. All
 //! numbers are simulated time, so the whole comparison is run twice and
 //! every artifact is asserted byte-identical before being written.
 //!
@@ -87,7 +83,6 @@ struct Artifacts {
     bench: String,
     perf_json: String,
     perf_text: String,
-    perf_no_overlap_json: String,
     profile_folded: String,
     profile_svg: String,
     profile_json: String,
@@ -129,29 +124,6 @@ fn run_once() -> Artifacts {
 
     let optimized = last.expect("at least one config ran");
 
-    // Overlap A/B: the optimized stack with the pipeline's nonblocking
-    // collectives replaced by blocking rounds at the same program points.
-    // The toggle is pure communication scheduling — the model and the
-    // iteration count must not move.
-    let no_overlap = DistSolver::new(&ds, params.clone().with_cache_bytes(4 << 20))
-        .with_processes(4)
-        .with_threads(4)
-        .with_dots(DotKind::Scatter)
-        .with_overlap(false)
-        .with_tracing()
-        .train()
-        .expect("no-overlap run");
-    assert!(no_overlap.converged, "no-overlap run converged");
-    assert_eq!(
-        reference.as_deref().expect("reference model recorded"),
-        model_bytes(&no_overlap.model).as_slice(),
-        "overlap toggle must not change the model"
-    );
-    assert_eq!(
-        no_overlap.iterations, optimized.iterations,
-        "overlap toggle must not change the iteration count"
-    );
-
     let baseline_makespan = makespans[0].1;
     let speedup = baseline_makespan / optimized.makespan;
     assert!(
@@ -170,19 +142,9 @@ fn run_once() -> Artifacts {
     report
         .extras
         .insert("speedup_vs_merge_nocache_t1".to_string(), speedup);
-    report
-        .extras
-        .insert("makespan_overlap".to_string(), optimized.makespan);
-    report
-        .extras
-        .insert("makespan_no_overlap".to_string(), no_overlap.makespan);
-    report.extras.insert(
-        "speedup_overlap_vs_blocking".to_string(),
-        no_overlap.makespan / optimized.makespan,
-    );
     // Collective rounds per iteration (allreduces + bcasts + barriers on
-    // rank 0 — nonblocking initiations count through their allreduce):
-    // the budget the message fusion and β piggyback exist to hold down.
+    // rank 0): the budget the message fusion and β piggyback exist to
+    // hold down.
     let s0 = &optimized.rank_stats[0];
     report.extras.insert(
         "collective_rounds_per_iter".to_string(),
@@ -205,14 +167,6 @@ fn run_once() -> Artifacts {
         .perf
         .as_ref()
         .expect("traced runs attach a PerfDoctor");
-    // The no-overlap PERF report makes the overlap win mechanically
-    // explainable: `cargo xtask perf-diff PERF_hotpath.json
-    // PERF_hotpath_no_overlap.json` (or the reverse) shows the buckets
-    // and critical-path ops the pipeline moved.
-    let perf_no_overlap = no_overlap
-        .perf
-        .as_ref()
-        .expect("traced runs attach a PerfDoctor");
     let profile = optimized
         .profile
         .as_ref()
@@ -221,7 +175,6 @@ fn run_once() -> Artifacts {
         bench: report.to_json(),
         perf_json: perf.to_json(),
         perf_text: perf.render_text(),
-        perf_no_overlap_json: perf_no_overlap.to_json(),
         profile_folded: profile.to_folded(),
         profile_svg: profile.to_svg(),
         profile_json: profile.to_json(),
@@ -242,10 +195,6 @@ fn main() {
         "PerfDoctor report must be deterministic"
     );
     assert_eq!(
-        a.perf_no_overlap_json, b.perf_no_overlap_json,
-        "no-overlap PerfDoctor report must be deterministic"
-    );
-    assert_eq!(
         a.profile_folded, b.profile_folded,
         "folded profile must be deterministic"
     );
@@ -259,7 +208,6 @@ fn main() {
     );
     json::check(&a.bench).expect("bench JSON well-formed");
     json::check(&a.perf_json).expect("perf JSON well-formed");
-    json::check(&a.perf_no_overlap_json).expect("no-overlap perf JSON well-formed");
     json::check(&a.profile_json).expect("profile JSON well-formed");
     shrinksvm_obs::profile::xml_check(&a.profile_svg).expect("flame SVG well-formed XML");
 
@@ -267,11 +215,6 @@ fn main() {
     std::fs::write(out.join("BENCH_hotpath.json"), &a.bench).expect("write bench report");
     std::fs::write(out.join("PERF_hotpath.json"), &a.perf_json).expect("write perf json");
     std::fs::write(out.join("PERF_hotpath.txt"), &a.perf_text).expect("write perf text");
-    std::fs::write(
-        out.join("PERF_hotpath_no_overlap.json"),
-        &a.perf_no_overlap_json,
-    )
-    .expect("write no-overlap perf json");
     std::fs::write(out.join("PROFILE_hotpath.folded"), &a.profile_folded)
         .expect("write folded profile");
     std::fs::write(out.join("PROFILE_hotpath.svg"), &a.profile_svg).expect("write flame svg");
@@ -280,8 +223,7 @@ fn main() {
     println!("{}", a.bench);
     println!("{}", a.perf_text);
     println!(
-        "wrote {}, PERF_hotpath.{{json,txt}}, PERF_hotpath_no_overlap.json and \
-         PROFILE_hotpath.{{folded,svg,json}}",
+        "wrote {}, PERF_hotpath.{{json,txt}} and PROFILE_hotpath.{{folded,svg,json}}",
         out.join("BENCH_hotpath.json").display()
     );
     println!("determinism: two same-seed runs produced byte-identical reports ✓");

@@ -4,8 +4,11 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("shrinksvm-cli-test-{}", std::process::id()));
+/// A scratch directory private to one test: tests run on parallel threads
+/// and each removes its directory when it finishes.
+fn workdir(test: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("shrinksvm-cli-test-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -35,7 +38,7 @@ fn run(bin: &str, args: &[&str]) -> std::process::Output {
 
 #[test]
 fn scale_train_predict_pipeline() {
-    let dir = workdir();
+    let dir = workdir("scale_train_predict_pipeline");
     let train = dir.join("train.libsvm");
     let test = dir.join("test.libsvm");
     write_dataset(&train, 240, 7);
@@ -128,7 +131,7 @@ fn scale_train_predict_pipeline() {
 
 #[test]
 fn train_sequential_and_multicore_paths() {
-    let dir = workdir();
+    let dir = workdir("train_sequential_and_multicore_paths");
     let train = dir.join("t2.libsvm");
     write_dataset(&train, 150, 13);
     let model = dir.join("t2.model");
@@ -188,7 +191,7 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
     let out = run(env!("CARGO_BIN_EXE_svm-predict"), &["a"]);
     assert!(!out.status.success());
-    let dir = workdir();
+    let dir = workdir("bad_inputs_fail_cleanly");
     let train = dir.join("t3.libsvm");
     write_dataset(&train, 50, 5);
     let out = run(

@@ -123,12 +123,10 @@ pub const GRAD_IDENTS: &[&str] = &["grad", "gpart", "gtmp"];
 
 /// Prefixes of the functions that charge simulated time. A loop is
 /// considered *charged* when its enclosing function calls one of these:
-/// `advance_compute*` pays for solver compute on the LogGP clock,
-/// `charge_sweep_*` pays for the split fused sweep's head and tail (the
-/// overlapped-pipeline charge points in the distributed solver), and
+/// `advance_compute*` pays for solver compute on the LogGP clock, and
 /// `charge_recovery*` books the driver's recovery-ladder accounting
 /// (aborted-attempt waste and backoff).
-pub const CHARGE_FN_PREFIXES: &[&str] = &["advance_compute", "charge_sweep", "charge_recovery"];
+pub const CHARGE_FN_PREFIXES: &[&str] = &["advance_compute", "charge_recovery"];
 
 /// Justification needles, all matched inside comment tokens on the
 /// flagged line or the line(s) just above it.
