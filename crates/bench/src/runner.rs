@@ -5,6 +5,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use shrinksvm_core::dist::msg::{ENTRY_BYTES, SAMPLE_HEADER_BYTES};
 use shrinksvm_core::dist::{DistRunResult, DistSolver};
 use shrinksvm_core::kernel::KernelKind;
 use shrinksvm_core::metrics::accuracy;
@@ -184,11 +185,11 @@ pub fn write_bench_report(
     r.write(&ctx.out_dir).expect("write bench report")
 }
 
-/// Serialized bytes of an average row (for broadcast/ring volumes in the
-/// projection).
+/// Serialized bytes of an average row (for the candidate-round and ring
+/// volumes in the projection): [`PairSample::encoded_len_for`] at the mean
+/// stored-entry count.
 pub fn mean_row_bytes(data: &PaperData) -> f64 {
-    // PairSample header (44 B) + 12 B per stored entry.
-    44.0 + 12.0 * data.train.x.mean_row_nnz()
+    SAMPLE_HEADER_BYTES as f64 + ENTRY_BYTES as f64 * data.train.x.mean_row_nnz()
 }
 
 /// Modeled total seconds of a captured run at `p` processes.

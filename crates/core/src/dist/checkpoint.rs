@@ -14,7 +14,7 @@
 //!
 //! The store keeps a bounded history of promoted **generations**
 //! ([`CheckpointPolicy::keep_generations`]), each carrying its serialized
-//! cut and an FNV-1a checksum computed at promotion.
+//! cut and a [`checksum`] computed at promotion.
 //! [`CheckpointStore::restore_verified`] walks newest → oldest, verifies
 //! each generation's bytes against its checksum, and skips damaged ones —
 //! so a corrupted checkpoint (injected by a [`FaultPlan`] `ckpt` rule, or
@@ -28,6 +28,7 @@
 //! state.
 //!
 //! [`FaultPlan`]: shrinksvm_mpisim::FaultPlan
+//! [`checksum`]: shrinksvm_mpisim::fault::checksum
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -60,6 +61,26 @@ pub struct CheckpointPolicy {
 
 /// Default bound on retained checkpoint generations.
 pub const DEFAULT_KEEP_GENERATIONS: usize = 3;
+
+/// Magic word opening the checkpoint text format's header line.
+const MAGIC: &str = "shrinksvm-checkpoint";
+
+/// Format version written after [`MAGIC`]. v2 files carry the
+/// word-folding [`shrinksvm_mpisim::fault::checksum`]; v1 files, whose
+/// trailer is the older byte-at-a-time hash, are refused by version.
+const VERSION: &str = "v2";
+
+/// Accept the current header line; name any other format version as
+/// unsupported, and anything else as a bad header.
+fn check_header(line: &str) -> Result<(), CoreError> {
+    match line.trim().split_once(' ') {
+        Some((MAGIC, VERSION)) => Ok(()),
+        Some((MAGIC, version)) => Err(CoreError::CheckpointFormat(format!(
+            "unsupported checkpoint version '{version}' (this build reads {VERSION})"
+        ))),
+        _ => Err(CoreError::CheckpointFormat(format!("bad header '{line}'"))),
+    }
+}
 
 impl Default for CheckpointPolicy {
     fn default() -> Self {
@@ -166,7 +187,7 @@ impl Checkpoint {
     }
 
     /// Serialize to the versioned text format: the body followed by a
-    /// `checksum <fnv1a>` trailer line over the body bytes, so a reader
+    /// `checksum <u64>` trailer line over the body bytes, so a reader
     /// can tell truncation and bit flips from a valid file.
     pub fn write_to<W: Write>(&self, mut writer: W) -> Result<(), CoreError> {
         let body = self.body()?;
@@ -182,7 +203,7 @@ impl Checkpoint {
 
     fn write_body<W: Write>(&self, writer: W) -> Result<(), CoreError> {
         let mut w = BufWriter::new(writer);
-        writeln!(w, "shrinksvm-checkpoint v1")?;
+        writeln!(w, "{MAGIC} {VERSION}")?;
         writeln!(w, "iterations {} stage {}", self.iterations, self.stage)?;
         writeln!(w, "betas {:e} {:e}", self.last_betas.0, self.last_betas.1)?;
         writeln!(w, "n {} ranks {}", self.n, self.ranks.len())?;
@@ -249,6 +270,10 @@ impl Checkpoint {
             _ => return Err(bad("missing checksum trailer (truncated file?)".to_string())),
         };
         let body = &buf[..line_start];
+        // A file from another format version hashes with another checksum;
+        // name the version instead of reporting a mismatch.
+        let first = body.split(|&b| b == b'\n').next().unwrap_or_default();
+        check_header(&String::from_utf8_lossy(first))?;
         let actual = shrinksvm_mpisim::fault::checksum(body);
         if actual != expect {
             return Err(bad(format!(
@@ -259,7 +284,7 @@ impl Checkpoint {
         Self::parse_body(body)
     }
 
-    /// Parse a checkpoint body (everything before the trailer).
+    /// Parse a verified checkpoint body (everything before the trailer).
     fn parse_body(body: &[u8]) -> Result<Self, CoreError> {
         let bad = |m: String| CoreError::CheckpointFormat(m);
         let mut lines = BufReader::new(body).lines();
@@ -269,10 +294,8 @@ impl Checkpoint {
                 .ok_or_else(|| CoreError::CheckpointFormat(format!("missing {what}")))?
                 .map_err(CoreError::Io)
         };
-        let header = next("header")?;
-        if header.trim() != "shrinksvm-checkpoint v1" {
-            return Err(bad(format!("bad header '{header}'")));
-        }
+        // `read_from` checked the header before verifying the checksum
+        next("header")?;
         let pu = |s: &str| -> Result<u64, CoreError> {
             s.parse::<u64>()
                 .map_err(|_| CoreError::CheckpointFormat(format!("bad integer '{s}'")))
@@ -840,6 +863,26 @@ mod tests {
     fn read_rejects_truncated_and_garbled_input() {
         assert!(Checkpoint::read_from(&b""[..]).is_err());
         assert!(Checkpoint::read_from(&b"shrinksvm-checkpoint v0\n"[..]).is_err());
+        // Older format versions, each with the trailer its writer produced
+        // (v1 hashed byte at a time), are refused by version, not by hash.
+        let fnv1a_bytewise = |body: &[u8]| {
+            body.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        for version in ["v0", "v1"] {
+            let body = format!(
+                "shrinksvm-checkpoint {version}\niterations 0 stage 0\nbetas 0e0 0e0\nn 0 ranks 0\n"
+            );
+            let file = format!("{body}checksum {}\n", fnv1a_bytewise(body.as_bytes()));
+            let err = Checkpoint::read_from(file.as_bytes())
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("unsupported checkpoint version '{version}'")),
+                "{version}: {err}"
+            );
+        }
         let ck = Checkpoint {
             iterations: 2,
             stage: 0,

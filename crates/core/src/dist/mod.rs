@@ -1,8 +1,9 @@
 //! The distributed solver — the paper's contribution.
 //!
 //! * [`partition`] — contiguous block ownership of samples by rank,
-//! * [`msg`] — wire encodings for the pair broadcast (Algorithm 2 lines
-//!   3–9) and the ring SV blocks (Algorithm 3),
+//! * [`msg`] — wire encodings for the pivot samples the candidate
+//!   allreduce carries (Algorithm 2 lines 3–9) and the ring SV blocks
+//!   (Algorithm 3),
 //! * [`solver`] — the per-rank training program: Algorithm 2 (*Original*),
 //!   Algorithm 4 (single reconstruction) and Algorithm 5 (multiple
 //!   reconstruction), selected by the [`crate::shrink::ShrinkPolicy`],

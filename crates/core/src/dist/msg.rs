@@ -2,17 +2,26 @@
 //!
 //! Two message families exist:
 //!
-//! * [`PairSample`] — one selected working-set sample (row + scalars),
-//!   routed owner → rank 0 → broadcast each iteration (Algorithm 2
-//!   lines 3–9);
+//! * [`PairSample`] — one working-set candidate (row + scalars). Each rank
+//!   attaches its local MINLOC and MAXLOC winners' samples to the fused
+//!   candidate allreduce, which hands every rank the global winners'
+//!   samples in the same round that selects them (Algorithm 2 lines 3–9);
+//!   the assembled model's support vectors use the same record;
 //! * [`SvEntry`] blocks — a rank's `α > 0` samples, streamed around the ring
 //!   during gradient reconstruction (Algorithm 3).
 //!
 //! Encodings are little-endian and self-delimiting; decoders validate
 //! lengths and return `None` on malformed input (a malformed message is a
-//! bug, surfaced by the caller as a panic with rank context).
+//! bug, which callers surface as a panic or a typed error).
 
 use shrinksvm_sparse::RowView;
+
+/// Bytes of an encoded [`PairSample`] ahead of its row: the index, `y`,
+/// `α`, `γ`, the squared norm and the entry count.
+pub const SAMPLE_HEADER_BYTES: usize = 8 * 5 + 4;
+
+/// Encoded bytes per stored row entry (a `u32` column and an `f64` value).
+pub const ENTRY_BYTES: usize = 12;
 
 /// A working-set sample as shipped between ranks.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,8 +84,7 @@ impl PairSample {
 
     /// Decode one sample from `bytes` starting at `*pos`, advancing it.
     pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        let need_header = 8 * 5 + 4;
-        if bytes.len() < *pos + need_header {
+        if bytes.len() < *pos + SAMPLE_HEADER_BYTES {
             return None;
         }
         let take8 = |p: &mut usize| {
@@ -91,11 +99,12 @@ impl PairSample {
         let sq_norm = f64::from_bits(take8(pos));
         let nnz = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().unwrap()) as usize;
         *pos += 4;
-        if bytes.len() < *pos + nnz * 12 {
+        let row_bytes = nnz * ENTRY_BYTES;
+        if bytes.len() < *pos + row_bytes {
             return None;
         }
-        let (cols, vals) = RowView::from_bytes(&bytes[*pos..*pos + nnz * 12])?;
-        *pos += nnz * 12;
+        let (cols, vals) = RowView::from_bytes(&bytes[*pos..*pos + row_bytes])?;
+        *pos += row_bytes;
         Some(PairSample {
             index,
             y,
@@ -107,41 +116,18 @@ impl PairSample {
         })
     }
 
+    /// Decode a buffer holding exactly one sample: truncation and trailing
+    /// bytes are both malformed.
+    pub fn decode_exact(bytes: &[u8]) -> Option<Self> {
+        let mut pos = 0;
+        let sample = Self::decode(bytes, &mut pos)?;
+        (pos == bytes.len()).then_some(sample)
+    }
+
     /// Serialized size in bytes.
     pub fn encoded_len(&self) -> usize {
-        8 * 5 + 4 + self.cols.len() * 12
+        SAMPLE_HEADER_BYTES + self.cols.len() * ENTRY_BYTES
     }
-}
-
-/// Encode the `(up, low)` bundle broadcast each iteration, with the
-/// iteration's `(β_up, β_low)` piggybacked as a 16-byte header — the
-/// values ride the pivot broadcast instead of needing their own round,
-/// so a rank holding the bundle has everything the γ-sweep's shrink test
-/// consumes.
-pub fn encode_pair(betas: (f64, f64), up: &PairSample, low: &PairSample) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + up.encoded_len() + low.encoded_len());
-    out.extend_from_slice(&betas.0.to_le_bytes());
-    out.extend_from_slice(&betas.1.to_le_bytes());
-    up.encode(&mut out);
-    low.encode(&mut out);
-    out
-}
-
-/// Decode the `((β_up, β_low), up, low)` bundle.
-#[allow(clippy::type_complexity)]
-pub fn decode_pair(bytes: &[u8]) -> Option<((f64, f64), PairSample, PairSample)> {
-    if bytes.len() < 16 {
-        return None;
-    }
-    let b_up = f64::from_le_bytes(bytes.get(0..8)?.try_into().ok()?);
-    let b_low = f64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?);
-    let mut pos = 16;
-    let up = PairSample::decode(bytes, &mut pos)?;
-    let low = PairSample::decode(bytes, &mut pos)?;
-    if pos != bytes.len() {
-        return None;
-    }
-    Some(((b_up, b_low), up, low))
 }
 
 /// One support-vector candidate inside a ring block: its coefficient
@@ -234,8 +220,15 @@ mod tests {
         }
     }
 
+    fn encode(s: &PairSample) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.encode(&mut out);
+        out
+    }
+
     #[test]
     fn pair_roundtrip() {
+        // the up and low winners' records, back to back and one by one
         let up = sample(7);
         let low = PairSample {
             index: 9,
@@ -244,55 +237,40 @@ mod tests {
             vals: vec![],
             ..sample(9)
         };
-        let bytes = encode_pair((-0.75, 0.5), &up, &low);
-        let (betas, u2, l2) = decode_pair(&bytes).unwrap();
-        assert_eq!(betas, (-0.75, 0.5));
-        assert_eq!(u2, up);
-        assert_eq!(l2, low);
-    }
-
-    #[test]
-    fn piggybacked_betas_roundtrip_bit_for_bit() {
-        // The shrink test consumes these bits; the wire must not launder
-        // them — including negative zero and infinities at phase ends.
-        for (bu, bl) in [
-            (f64::INFINITY, f64::NEG_INFINITY),
-            (-0.0, 0.0),
-            (1.0000000000000002, -1.0000000000000002),
-        ] {
-            let bytes = encode_pair((bu, bl), &sample(1), &sample(2));
-            let (betas, _, _) = decode_pair(&bytes).unwrap();
-            assert_eq!(betas.0.to_bits(), bu.to_bits());
-            assert_eq!(betas.1.to_bits(), bl.to_bits());
-        }
+        let mut both = encode(&up);
+        low.encode(&mut both);
+        let mut pos = 0;
+        assert_eq!(PairSample::decode(&both, &mut pos).unwrap(), up);
+        assert_eq!(PairSample::decode(&both, &mut pos).unwrap(), low);
+        assert_eq!(pos, both.len());
+        assert_eq!(PairSample::decode_exact(&encode(&low)).unwrap(), low);
     }
 
     #[test]
     fn encoded_len_is_exact() {
         let s = sample(1);
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        assert_eq!(buf.len(), s.encoded_len());
+        assert_eq!(encode(&s).len(), s.encoded_len());
     }
 
     #[test]
     fn pair_decode_rejects_truncation_and_trailing() {
-        let bytes = encode_pair((0.0, 0.0), &sample(1), &sample(2));
-        assert!(decode_pair(&bytes[..bytes.len() - 1]).is_none());
-        assert!(decode_pair(&bytes[..8]).is_none()); // header cut short
+        let bytes = encode(&sample(1));
+        for cut in 0..bytes.len() {
+            assert!(PairSample::decode_exact(&bytes[..cut]).is_none(), "{cut}");
+        }
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(decode_pair(&extra).is_none());
+        assert!(PairSample::decode_exact(&extra).is_none());
     }
 
     #[test]
     fn special_floats_survive() {
         let mut s = sample(3);
         s.gamma = f64::NEG_INFINITY;
-        s.alpha = 0.0;
-        let bytes = encode_pair((0.0, 0.0), &s, &sample(4));
-        let (_, u2, _) = decode_pair(&bytes).unwrap();
-        assert_eq!(u2.gamma, f64::NEG_INFINITY);
+        s.alpha = -0.0;
+        let back = PairSample::decode_exact(&encode(&s)).unwrap();
+        assert_eq!(back.gamma, f64::NEG_INFINITY);
+        assert_eq!(back.alpha.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   armed) until optimality survives a reconstruction.
 //!
 //! Determinism: all cross-rank agreement goes through MINLOC/MAXLOC
-//! reductions with index tie-breaks, and every rank evaluates the same
+//! reductions with index tie-breaks — the winners' samples ride the same
+//! fused round — and every rank evaluates the same
 //! floating-point expressions on the same values — so the iterate
 //! trajectory is **bit-identical for every process count** up to the
 //! first gradient reconstruction (for *Original*, the entire run), which
@@ -35,7 +36,7 @@ use shrinksvm_threads::ThreadPool;
 use crate::cache::KernelCache;
 use crate::dist::checkpoint::{Checkpoint, CheckpointCtx, RankSnapshot};
 use crate::dist::convergence::ConvergenceTracker;
-use crate::dist::msg::{decode_pair, encode_pair, PairSample};
+use crate::dist::msg::PairSample;
 use crate::dist::partition::Partition;
 use crate::dist::recon;
 use crate::error::CoreError;
@@ -47,10 +48,6 @@ use crate::shrink::{shrinkable, ReconPolicy, ShrinkPolicy, SubsequentPolicy};
 use crate::smo::state::{bound_tol, classify, in_low_set, in_up_set, IndexSet};
 use crate::smo::update::solve_pair_weighted;
 use crate::trace::RankTrace;
-
-/// Point-to-point tags used by the pair routing.
-const TAG_UP: u64 = 1;
-const TAG_LOW: u64 = 2;
 
 /// Rows held by the pivot-pair memo (the `k_uu/k_ll/k_ul` triple per
 /// selected pair). The same worst-violator pair is reselected across
@@ -499,52 +496,29 @@ impl<'a> RankState<'a> {
         )
     }
 
-    /// Route the selected pair through rank 0 and broadcast it (Algorithm 2
-    /// lines 3–9). The iteration's `(β_up, β_low)` piggyback on the
-    /// broadcast as the bundle header — one round carries everything the
-    /// sweep's shrink test needs — and the returned values are the
-    /// decoded header (bit-identical to the reduction's, the wire being
-    /// an exact `f64` roundtrip).
-    fn route_pair(
+    /// Select the global working pair in one round (Algorithm 2 lines
+    /// 3–9): each rank offers its local MINLOC/MAXLOC winners with their
+    /// samples attached, and the fused allreduce hands every rank the
+    /// global winners together with their samples — no routing through
+    /// rank 0 and no pivot broadcast. Called right after the prologue scan
+    /// and the sweep head, where `α` and `γ` already hold the values the
+    /// next iteration's pair solve reads. An empty side (the identity)
+    /// carries no sample.
+    fn candidate_round(
         &self,
         comm: &mut Comm,
-        i_up: usize,
-        i_low: usize,
-        betas: (f64, f64),
-    ) -> ((f64, f64), PairSample, PairSample) {
-        let me = comm.rank();
-        let owner_up = self.part.owner(i_up);
-        let owner_low = self.part.owner(i_low);
-        let mut encoded = Vec::new();
-        if me == owner_up && me != 0 {
-            let mut b = Vec::new();
-            self.gather(i_up).encode(&mut b);
-            comm.send(0, TAG_UP, &b);
-        }
-        if me == owner_low && me != 0 {
-            let mut b = Vec::new();
-            self.gather(i_low).encode(&mut b);
-            comm.send(0, TAG_LOW, &b);
-        }
-        if me == 0 {
-            let up = if owner_up == 0 {
-                self.gather(i_up)
-            } else {
-                let b = comm.recv(owner_up, TAG_UP);
-                let mut pos = 0;
-                PairSample::decode(&b, &mut pos).expect("valid pair sample from owner")
-            };
-            let low = if owner_low == 0 {
-                self.gather(i_low)
-            } else {
-                let b = comm.recv(owner_low, TAG_LOW);
-                let mut pos = 0;
-                PairSample::decode(&b, &mut pos).expect("valid pair sample from owner")
-            };
-            encoded = encode_pair(betas, &up, &low);
-        }
-        let bytes = comm.bcast(0, &encoded);
-        decode_pair(&bytes).expect("valid pair bundle from rank 0")
+        up: MinLoc,
+        low: MaxLoc,
+    ) -> ((MinLoc, Vec<u8>), (MaxLoc, Vec<u8>)) {
+        let sample = |index: u64| {
+            let mut out = Vec::new();
+            if index != u64::MAX {
+                self.gather(index as usize).encode(&mut out);
+            }
+            out
+        };
+        let (up_bytes, low_bytes) = (sample(up.index), sample(low.index));
+        comm.allreduce_minloc_maxloc((up, &up_bytes), (low, &low_bytes))
     }
 
     /// Fill `out[pos] = K(x_{active_list[pos]}, pivot)` over the active
@@ -665,7 +639,7 @@ impl<'a> RankState<'a> {
         }
     }
 
-    /// `k_uu, k_ll, k_ul` for the routed pair — memoized when caching is
+    /// `k_uu, k_ll, k_ul` for the selected pair — memoized when caching is
     /// enabled, since the worst-violator pair is frequently reselected
     /// across consecutive iterations. Returns
     /// `(k_uu, k_ll, k_ul, sim_cost, alt_cost, evals)`, where `alt_cost`
@@ -739,11 +713,11 @@ impl<'a> RankState<'a> {
     /// The fused γ-update/shrink sweep folds the *next* iteration's
     /// worst-violator candidates as it rewrites the gradients (the sweep
     /// **head**), then one fused MINLOC+MAXLOC allreduce selects the
-    /// global pair before the shrink bookkeeping and the survivors
-    /// reduction (the sweep **tail**). The prologue scan seeds the first
-    /// pair. Value flow is identical to a separate scan per iteration —
-    /// the candidate fold is a total-order selection, so the fusion
-    /// cannot change what it returns.
+    /// global pair — carrying the winners' samples — before the shrink
+    /// bookkeeping and the survivors reduction (the sweep **tail**). The
+    /// prologue scan seeds the first pair. Value flow is identical to a
+    /// separate scan per iteration — the candidate fold is a total-order
+    /// selection, so the fusion cannot change what it returns.
     fn run_phase(
         &mut self,
         comm: &mut Comm,
@@ -752,9 +726,9 @@ impl<'a> RankState<'a> {
     ) -> Result<PhaseEnd, CoreError> {
         let mut stall = 0u64;
         let (seed_up, seed_low) = self.local_candidates();
-        let mut cand = comm.allreduce_minloc_maxloc(seed_up, seed_low);
+        let mut cand = self.candidate_round(comm, seed_up, seed_low);
         loop {
-            let (up, low) = cand;
+            let ((up, up_bytes), (low, low_bytes)) = cand;
             self.last_betas = (up.value, low.value);
             self.maybe_checkpoint(comm);
             let gap = low.value - up.value;
@@ -800,15 +774,19 @@ impl<'a> RankState<'a> {
                 });
             }
 
-            // Route the pair and solve the two-variable subproblem on every
-            // rank identically (Eq. 6/7). The β values ride the broadcast
-            // header; the sweep's shrink test reads them from the bundle.
-            let ((bup, blow), sup, slow) = self.route_pair(
-                comm,
-                up.index as usize,
-                low.index as usize,
-                (up.value, low.value),
-            );
+            // Solve the two-variable subproblem on every rank identically
+            // (Eq. 6/7) from the samples the candidate round delivered; the
+            // sweep's shrink test reads the reduced β values.
+            let (bup, blow) = (up.value, low.value);
+            let (Some(sup), Some(slow)) = (
+                PairSample::decode_exact(&up_bytes),
+                PairSample::decode_exact(&low_bytes),
+            ) else {
+                return Err(CoreError::ModelFormat(format!(
+                    "bad pivot sample from the candidate round (pair {}, {})",
+                    up.index, low.index
+                )));
+            };
             let (k_uu, k_ll, k_ul, triple_cost, triple_alt, triple_evals) =
                 self.pivot_triple(&sup, &slow);
             let c_up = if sup.y > 0.0 { self.c_pos } else { self.c_neg };
@@ -969,8 +947,8 @@ impl<'a> RankState<'a> {
             comm.advance_compute_classed(sweep_cost, "fused_sweep", Some(sweep_alt));
             comm.trace_span("fused_sweep", "solver", sweep_t0, comm.clock());
             // The candidate payload is complete: select next iteration's
-            // pair in one fused round.
-            cand = comm.allreduce_minloc_maxloc(next_up, next_low);
+            // pair, and ship its samples, in one fused round.
+            cand = self.candidate_round(comm, next_up, next_low);
 
             if shrink_pass {
                 // Sweep tail: fold the surviving positions back into the

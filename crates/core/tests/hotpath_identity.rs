@@ -133,9 +133,9 @@ fn cache_metrics_and_sweep_span_are_recorded() {
 #[test]
 fn fused_candidate_round_keeps_the_collective_budget() {
     // The sweep folds next iteration's MinLoc/MaxLoc candidates into the
-    // γ-update and ships them as ONE fused allreduce per iteration (β
-    // rides the pivot broadcast); before fusion the candidate exchange
-    // cost two rounds. The trace makes that budget checkable: rank 0's
+    // γ-update and ships them as ONE fused allreduce per iteration, which
+    // also carries the winners' samples; before fusion the candidate
+    // exchange cost two rounds. The trace makes that budget checkable: rank 0's
     // allreduce spans — the fused round plus the occasional survivors
     // count — stay well under the pre-fusion 2× per iteration.
     let ds = blobs(29);

@@ -241,17 +241,30 @@ impl Comm {
         MaxLoc::decode(&out)
     }
 
-    /// Fused MINLOC+MAXLOC allreduce: both reductions in a single
-    /// collective round over a packed 32-byte payload. The per-half
-    /// combines are exactly [`MinLoc::combine`] / [`MaxLoc::combine`], so
-    /// the results are bitwise identical to running
-    /// [`Comm::allreduce_minloc`] then [`Comm::allreduce_maxloc`] — at
-    /// half the rounds.
-    pub fn allreduce_minloc_maxloc(&mut self, min: MinLoc, max: MaxLoc) -> (MinLoc, MaxLoc) {
-        let out = self.allreduce_with(pack_minloc_maxloc(min, max), |a, b| {
-            combine_minloc_maxloc(a, b)
-        });
-        unpack_minloc_maxloc(&out)
+    /// Fused MINLOC+MAXLOC allreduce that carries a payload with each
+    /// candidate: both reductions run in one collective round, and every
+    /// rank gets back the winning candidates together with the bytes their
+    /// ranks attached to them. Winners are chosen by the comparison
+    /// [`MinLoc::combine`] / [`MaxLoc::combine`] use, so the returned pair
+    /// is bitwise identical to running [`Comm::allreduce_minloc`] then
+    /// [`Comm::allreduce_maxloc`] — in one round instead of two, and with
+    /// no further round needed to ship what the winners carry. A side
+    /// with no candidate passes its identity and an empty payload. The
+    /// round's payload is [`minloc_maxloc_len`] bytes.
+    pub fn allreduce_minloc_maxloc(
+        &mut self,
+        min: (MinLoc, &[u8]),
+        max: (MaxLoc, &[u8]),
+    ) -> ((MinLoc, Vec<u8>), (MaxLoc, Vec<u8>)) {
+        let mut mine = Vec::with_capacity(minloc_maxloc_len(min.1.len(), max.1.len()));
+        push_side(&mut mine, &min.0.encode(), min.1);
+        push_side(&mut mine, &max.0.encode(), max.1);
+        let out = self.allreduce_with(mine, combine_minloc_maxloc);
+        let (lo, hi) = split_sides(&out);
+        (
+            (MinLoc::decode(lo), lo[SIDE_HEADER..].to_vec()),
+            (MaxLoc::decode(hi), hi[SIDE_HEADER..].to_vec()),
+        )
     }
 
     /// Gather variable-sized payloads at `root` (binomial-tree merge).
@@ -475,25 +488,61 @@ impl Comm {
     }
 }
 
-/// Pack a `(MinLoc, MaxLoc)` pair into the fused allreduce's 32-byte
-/// payload: the MINLOC half first, the MAXLOC half second.
-fn pack_minloc_maxloc(min: MinLoc, max: MaxLoc) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32);
-    buf.extend_from_slice(&min.encode());
-    buf.extend_from_slice(&max.encode());
-    buf
+/// Bytes ahead of each side's payload in the fused candidate round: the
+/// encoded `(value, index)` pair, then the payload length as a `u32`.
+const SIDE_HEADER: usize = 16 + 4;
+
+/// Size of the fused candidate round's payload when the MINLOC and MAXLOC
+/// candidates carry `min_payload` and `max_payload` bytes — the length
+/// [`Comm::allreduce_minloc_maxloc`] puts on the wire, for cost models
+/// that predict the round.
+pub fn minloc_maxloc_len(min_payload: usize, max_payload: usize) -> usize {
+    2 * SIDE_HEADER + min_payload + max_payload
 }
 
-/// Combine two packed `(MinLoc, MaxLoc)` payloads half by half.
+/// Append one side of the fused payload: the encoded candidate, the
+/// payload length and the payload.
+fn push_side(out: &mut Vec<u8>, candidate: &[u8; 16], payload: &[u8]) {
+    assert!(
+        payload.len() <= u32::MAX as usize,
+        "candidate payload of {} bytes overflows its u32 length field",
+        payload.len()
+    );
+    out.extend_from_slice(candidate);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Split a fused payload into its MINLOC and MAXLOC sides, each the
+/// encoded candidate, its length field and its payload.
+fn split_sides(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let len = u32::from_le_bytes([bytes[16], bytes[17], bytes[18], bytes[19]]) as usize;
+    let (lo, hi) = bytes.split_at(SIDE_HEADER + len);
+    let hi_len = u32::from_le_bytes([hi[16], hi[17], hi[18], hi[19]]) as usize;
+    assert_eq!(
+        hi.len(),
+        SIDE_HEADER + hi_len,
+        "fused minloc/maxloc payload is two length-prefixed sides"
+    );
+    (lo, hi)
+}
+
+/// Combine two fused payloads side by side, keeping each winner's bytes
+/// whole (candidate and payload travel together).
 fn combine_minloc_maxloc(a: &[u8], b: &[u8]) -> Vec<u8> {
-    let min = MinLoc::combine(MinLoc::decode(&a[..16]), MinLoc::decode(&b[..16]));
-    let max = MaxLoc::combine(MaxLoc::decode(&a[16..]), MaxLoc::decode(&b[16..]));
-    pack_minloc_maxloc(min, max)
-}
-
-fn unpack_minloc_maxloc(bytes: &[u8]) -> (MinLoc, MaxLoc) {
-    assert_eq!(bytes.len(), 32, "fused minloc/maxloc payload is 32 bytes");
-    (MinLoc::decode(&bytes[..16]), MaxLoc::decode(&bytes[16..]))
+    let (a_min, a_max) = split_sides(a);
+    let (b_min, b_max) = split_sides(b);
+    let min = if MinLoc::displaces(MinLoc::decode(b_min), MinLoc::decode(a_min)) {
+        b_min
+    } else {
+        a_min
+    };
+    let max = if MaxLoc::displaces(MaxLoc::decode(b_max), MaxLoc::decode(a_max)) {
+        b_max
+    } else {
+        a_max
+    };
+    [min, max].concat()
 }
 
 #[cfg(test)]
@@ -502,27 +551,73 @@ mod tests {
     use crate::universe::Universe;
     use crate::CostParams;
 
+    /// Candidate of rank `r` in case `case` of the fused-round test: values
+    /// repeat across ranks (ties, including `-0.0` against `0.0`), indices
+    /// run against rank order, and some sides are empty (the identity).
+    fn fused_case(case: usize, p: usize, r: usize) -> ((MinLoc, Vec<u8>), (MaxLoc, Vec<u8>)) {
+        let values = [3.0, -0.0, 1.5, 0.0, -2.0, 1.5, 7.0];
+        let index = ((p - r) * 3) as u64;
+        let value = values[(r * 5 + case) % values.len()];
+        let payload = |side: &str| format!("{side}{r}:").repeat(r % 3 + 1).into_bytes();
+        let min = if r % 3 == 2 {
+            (MinLoc::identity(), Vec::new())
+        } else {
+            (MinLoc { value, index }, payload("min"))
+        };
+        let max = if case == 1 || r % 4 == 1 {
+            (MaxLoc::identity(), Vec::new())
+        } else {
+            (MaxLoc { value, index }, payload("max"))
+        };
+        (min, max)
+    }
+
     #[test]
     fn fused_minloc_maxloc_matches_separate_rounds() {
-        let values = [5.0, 1.0, 3.0, 1.0, 9.0, 0.5];
-        let out = Universe::new(values.len()).run(move |c| {
-            let min = MinLoc {
-                value: values[c.rank()],
-                index: c.rank() as u64,
-            };
-            let max = MaxLoc {
-                value: values[c.rank()],
-                index: c.rank() as u64,
-            };
-            let sep = (c.allreduce_minloc(min), c.allreduce_maxloc(max));
-            let fused = c.allreduce_minloc_maxloc(min, max);
-            (sep, fused, c.stats().allreduces)
-        });
-        for o in &out {
-            assert_eq!(o.value.0 .0, o.value.1 .0);
-            assert_eq!(o.value.0 .1, o.value.1 .1);
-            // two separate rounds plus ONE fused round
-            assert_eq!(o.value.2, 3);
+        for p in [1, 2, 3, 5, 8, 16] {
+            for case in 0..2 {
+                let out = Universe::new(p).run(move |c| {
+                    let ((min, min_bytes), (max, max_bytes)) = fused_case(case, p, c.rank());
+                    let sep = (c.allreduce_minloc(min), c.allreduce_maxloc(max));
+                    let fused = c.allreduce_minloc_maxloc((min, &min_bytes), (max, &max_bytes));
+                    (sep, fused, c.stats().allreduces)
+                });
+                let all: Vec<_> = (0..p).map(|r| fused_case(case, p, r)).collect();
+                for o in &out {
+                    let ((min, max), ((fmin, fmin_bytes), (fmax, fmax_bytes)), rounds) = &o.value;
+                    assert_eq!(
+                        min.value.to_bits(),
+                        fmin.value.to_bits(),
+                        "p={p} case={case}"
+                    );
+                    assert_eq!(min.index, fmin.index, "p={p} case={case}");
+                    assert_eq!(
+                        max.value.to_bits(),
+                        fmax.value.to_bits(),
+                        "p={p} case={case}"
+                    );
+                    assert_eq!(max.index, fmax.index, "p={p} case={case}");
+                    // each payload is the one its winner's rank attached
+                    let min_owner = all
+                        .iter()
+                        .find(|((m, _), _)| m.index == fmin.index)
+                        .expect("the MINLOC winner is some rank's candidate");
+                    assert_eq!(fmin_bytes, &min_owner.0 .1, "p={p} case={case}");
+                    let max_owner = all
+                        .iter()
+                        .find(|(_, (m, _))| m.index == fmax.index)
+                        .expect("the MAXLOC winner is some rank's candidate");
+                    assert_eq!(fmax_bytes, &max_owner.1 .1, "p={p} case={case}");
+                    // two separate rounds plus ONE fused round
+                    assert_eq!(*rounds, 3);
+                }
+                if case == 1 {
+                    // every MAXLOC side was empty: the identity wins, bare
+                    let (_, (fmax, fmax_bytes)) = &out[0].value.1;
+                    assert_eq!(*fmax, MaxLoc::identity());
+                    assert!(fmax_bytes.is_empty());
+                }
+            }
         }
     }
 

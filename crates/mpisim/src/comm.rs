@@ -351,6 +351,7 @@ impl Comm {
         if let Some(dep) = &mut self.dep {
             dep.send(before, self.cost.send_overhead, dst as u32, tag, link_seq);
         }
+        self.monitor.note_sent(self.rank, dst);
         self.endpoints.outgoing[dst]
             .send(Message {
                 tag,
@@ -383,12 +384,16 @@ impl Comm {
         loop {
             match self.endpoints.incoming[src].recv_timeout(POLL) {
                 Ok(msg) => {
+                    let matched = msg.tag == tag;
+                    // Running before the link count drops: the deadlock
+                    // check must never see this rank blocked on an empty
+                    // link while it holds the message it waited for.
+                    if matched && published {
+                        self.monitor.publish_running(self.rank);
+                    }
                     self.on_dequeue(src, &msg);
                     let msg = self.resolve_transport(src, msg);
-                    if msg.tag == tag {
-                        if published {
-                            self.monitor.publish_running(self.rank);
-                        }
+                    if matched {
                         return self.accept(src, msg);
                     }
                     self.pending[src].push_back(msg);
@@ -459,11 +464,12 @@ impl Comm {
     }
 
     /// Bookkeeping common to every channel dequeue (matched or buffered):
-    /// the progress counter feeds the deadlock detector's stall check, and
-    /// under validation the per-source clock components must be strictly
-    /// increasing in FIFO order.
+    /// the progress counter and the link's in-flight count feed the
+    /// deadlock detector's stall check, and under validation the
+    /// per-source clock components must be strictly increasing in FIFO
+    /// order.
     fn on_dequeue(&mut self, src: usize, msg: &Message) {
-        self.monitor.note_progress();
+        self.monitor.note_dequeued(src, self.rank);
         if let Some(vc) = &msg.vclock {
             let got = vc.get(src);
             let prev = self.last_src_clock[src];

@@ -15,7 +15,7 @@ pub(crate) struct Message {
     pub depart: f64,
     /// Sender's vector clock at departure; present only under validation.
     pub vclock: Option<VectorClock>,
-    /// FNV-1a checksum of the payload, stamped at send time and verified
+    /// [`crate::fault::checksum`] of the payload, stamped at send time and verified
     /// at receive time: injected corruption is detected, not silent.
     pub checksum: u64,
     /// Sender's per-destination sequence number — the deterministic key

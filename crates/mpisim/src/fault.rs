@@ -631,15 +631,28 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a 64-bit checksum over a payload — the envelope integrity check
-/// that makes injected corruption *detectable* rather than silent. Public
-/// because the checkpoint store verifies its serialized cuts with the
-/// same checksum (one integrity primitive across the stack).
+/// FNV-1a-style 64-bit checksum over a payload — the envelope integrity
+/// check that makes injected corruption *detectable* rather than silent.
+/// Public because the checkpoint store verifies its serialized cuts with
+/// the same checksum (one integrity primitive across the stack).
+///
+/// The state is seeded with the payload length, then folds 8-byte
+/// little-endian words and finally the tail bytes one at a time, each by
+/// XOR then multiplication by the (odd) FNV prime. For a fixed word that
+/// step is a bijection of the state, and for a fixed state a bijection of
+/// the word, so changing any one word (in particular any one byte) of an
+/// equal-length payload always changes the result.
 pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in payload {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut h: u64 = (0xCBF2_9CE4_8422_2325 ^ payload.len() as u64).wrapping_mul(PRIME);
+    let mut words = payload.chunks_exact(8);
+    for w in &mut words {
+        h ^= u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(PRIME);
     }
     h
 }
@@ -802,5 +815,33 @@ mod tests {
         // empty payloads corrupt detectably too
         let ck0 = checksum(&[]);
         assert_ne!(checksum(&corrupt_copy(&[], 0)), ck0);
+    }
+
+    #[test]
+    fn checksum_sees_every_byte_flip_and_every_length_change() {
+        // 1 KiB: 128 whole words, so the word fold carries every byte
+        let payload: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        let ck = checksum(&payload);
+        for pos in 0..payload.len() {
+            let mut bad = payload.clone();
+            bad[pos] ^= 0xFF;
+            assert_ne!(checksum(&bad), ck, "flip at byte {pos} went unseen");
+        }
+        assert_ne!(checksum(&payload[..payload.len() - 1]), ck, "truncation");
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert_ne!(checksum(&longer), ck, "extension");
+        // a tail shorter than one word is folded byte by byte
+        let odd = &payload[..1021];
+        let ck_odd = checksum(odd);
+        for pos in 1016..1021 {
+            let mut bad = odd.to_vec();
+            bad[pos] ^= 0xFF;
+            assert_ne!(
+                checksum(&bad),
+                ck_odd,
+                "tail flip at byte {pos} went unseen"
+            );
+        }
     }
 }

@@ -80,6 +80,7 @@ pub mod reduce;
 pub mod stats;
 pub mod universe;
 
+pub use collectives::minloc_maxloc_len;
 pub use comm::{Comm, Request};
 pub use cost::CostParams;
 pub use env::{env_u64, EnvVarError};

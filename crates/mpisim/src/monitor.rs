@@ -32,9 +32,16 @@ pub(crate) struct StallSnapshot {
 pub(crate) struct RunMonitor {
     /// Whether full validation (vector clocks, ledger, conservation) is on.
     pub validate: bool,
+    /// Number of ranks.
+    p: usize,
     graph: Mutex<WaitForGraph>,
     /// Total messages dequeued from any channel; part of the stall check.
     progress: AtomicU64,
+    /// Messages sent but not yet dequeued, per directed link
+    /// `src · p + dst`. A blocked rank whose awaited link is non-empty
+    /// will make progress once its thread runs, however long the host
+    /// keeps it descheduled.
+    in_flight: Vec<AtomicU64>,
     /// The deadlock diagnosis, rendered once by whichever rank confirms it.
     diagnosed: Mutex<Option<String>>,
     /// Ranks that unwound with a panic (distinguished from clean finishes
@@ -51,8 +58,10 @@ impl RunMonitor {
     pub(crate) fn new(p: usize, validate: bool) -> Self {
         RunMonitor {
             validate,
+            p,
             graph: Mutex::new(WaitForGraph::new(p)),
             progress: AtomicU64::new(0),
+            in_flight: (0..p * p).map(|_| AtomicU64::new(0)).collect(),
             diagnosed: Mutex::new(None),
             panicked: Mutex::new(Vec::new()),
             ledger: Mutex::new(CollectiveLedger::new(p)),
@@ -61,9 +70,20 @@ impl RunMonitor {
         }
     }
 
-    /// A message was dequeued somewhere (matched or buffered).
-    pub(crate) fn note_progress(&self) {
+    /// A message entered the `src → dst` link. Called before the message
+    /// is handed to the channel, so the count never lags the channel.
+    pub(crate) fn note_sent(&self, src: usize, dst: usize) {
+        self.in_flight[self.link(src, dst)].fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// A message left the `src → dst` link (matched or buffered).
+    pub(crate) fn note_dequeued(&self, src: usize, dst: usize) {
         self.progress.fetch_add(1, Ordering::SeqCst);
+        self.in_flight[self.link(src, dst)].fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn link(&self, src: usize, dst: usize) -> usize {
+        src * self.p + dst
     }
 
     /// Rank `rank` is blocked in a receive.
@@ -88,12 +108,17 @@ impl RunMonitor {
     /// Called by a blocked rank after each poll timeout. Returns the
     /// rendered deadlock report once the universe is provably stuck.
     ///
-    /// `last` is the caller's previous snapshot. Diagnosis requires two
-    /// consecutive observations, one poll interval apart, of the *same*
-    /// fully-blocked state with no message dequeued in between: any
-    /// deliverable in-flight message would have been picked up within one
-    /// poll by its (blocked, hence actively polling) receiver, changing the
-    /// progress counter and invalidating the snapshot.
+    /// A state counts as stuck when every unfinished rank is blocked and
+    /// every blocked rank's awaited link is empty: a message still in
+    /// flight to a blocked receiver will be dequeued whenever that
+    /// receiver's thread next runs, which on a loaded host can be many
+    /// poll intervals away. The link counts are read under the graph
+    /// lock, and a receiver publishes itself running before it decrements
+    /// the link it matched on, so the graph and the counts agree.
+    ///
+    /// `last` is the caller's previous snapshot. Diagnosis additionally
+    /// requires two consecutive observations, one poll interval apart, of
+    /// the *same* stuck state with no message dequeued in between.
     pub(crate) fn check_stalled(
         &self,
         last: Option<StallSnapshot>,
@@ -101,11 +126,11 @@ impl RunMonitor {
         if let Some(report) = lock(&self.diagnosed).as_ref() {
             return Err(report.clone());
         }
-        let (all_blocked, graph_version) = {
+        let (stuck, graph_version) = {
             let g = lock(&self.graph);
-            (g.all_blocked(), g.version())
+            (g.all_blocked() && self.awaited_links_empty(&g), g.version())
         };
-        if !all_blocked {
+        if !stuck {
             return Ok(None);
         }
         let snap = StallSnapshot {
@@ -130,6 +155,16 @@ impl RunMonitor {
         }
         *diagnosed = Some(report.clone());
         Err(report)
+    }
+
+    /// Whether no message is in flight on any blocked rank's awaited link.
+    fn awaited_links_empty(&self, g: &WaitForGraph) -> bool {
+        (0..self.p).all(|rank| match g.state(rank) {
+            RankState::Blocked(edge) => {
+                self.in_flight[self.link(edge.src, edge.waiter)].load(Ordering::SeqCst) == 0
+            }
+            _ => true,
+        })
     }
 
     /// The first rank that unwound with a panic, if any did.
@@ -165,5 +200,48 @@ impl RunMonitor {
         report.extend_faults(std::mem::take(&mut *lock(&self.faults)));
         report.normalize();
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rank `waiter` blocks on a user-tag receive from `src`.
+    fn block(m: &RunMonitor, waiter: usize, src: usize) {
+        m.publish_blocked(WaitEdge {
+            waiter,
+            src,
+            tag: 7,
+            collective: false,
+        });
+    }
+
+    #[test]
+    fn a_message_in_flight_on_an_awaited_link_is_not_a_deadlock() {
+        // A three-rank wait cycle 0 ← 1 ← 2 ← 0 in which rank 1 already sent
+        // rank 0 its message, but rank 0's thread has not run to dequeue
+        // it — the host descheduled it. Any number of checks, however far
+        // apart, must wait for it.
+        let m = RunMonitor::new(3, false);
+        block(&m, 0, 1);
+        block(&m, 1, 2);
+        block(&m, 2, 0);
+        m.note_sent(1, 0);
+        let mut snap = None;
+        for _ in 0..100 {
+            snap = m
+                .check_stalled(snap)
+                .expect("a message is on its way to a blocked receiver");
+        }
+        // Traffic on a link nobody awaits cannot unblock anyone.
+        m.note_sent(0, 1);
+        // Once rank 0 dequeues (and buffers) the message and stays blocked,
+        // the cycle is a deadlock, confirmed on the second observation.
+        m.note_dequeued(1, 0);
+        let snap = m.check_stalled(snap).expect("first stuck observation");
+        assert!(snap.is_some());
+        let report = m.check_stalled(snap).expect_err("confirmed deadlock");
+        assert!(report.contains("rank 0"), "{report}");
     }
 }

@@ -1,5 +1,10 @@
 //! Reduction operand types, including the MINLOC/MAXLOC pairs the solver
 //! uses to agree on the globally worst KKT violators.
+//!
+//! Each pair's comparison is defined once (`displaces`); the plain
+//! combines and the fused, payload-carrying candidate round in
+//! [`crate::collectives`] both select through it, so they cannot disagree
+//! on a winner.
 
 /// A `(value, index)` pair reduced by MINLOC: the smallest value wins and
 /// ties break towards the smaller index, making the reduction fully
@@ -31,10 +36,18 @@ impl MinLoc {
         }
     }
 
+    /// Whether `b` wins over `a`: a smaller value, or an equal value at a
+    /// smaller index. An exact tie does not, so a combine keeps its left
+    /// operand.
+    #[inline]
+    pub(crate) fn displaces(b: MinLoc, a: MinLoc) -> bool {
+        b.value < a.value || (b.value == a.value && b.index < a.index)
+    }
+
     /// Combine two candidates.
     #[inline]
     pub fn combine(a: MinLoc, b: MinLoc) -> MinLoc {
-        if b.value < a.value || (b.value == a.value && b.index < a.index) {
+        if MinLoc::displaces(b, a) {
             b
         } else {
             a
@@ -65,10 +78,18 @@ impl MaxLoc {
         }
     }
 
+    /// Whether `b` wins over `a`: a larger value, or an equal value at a
+    /// smaller index. An exact tie does not, so a combine keeps its left
+    /// operand.
+    #[inline]
+    pub(crate) fn displaces(b: MaxLoc, a: MaxLoc) -> bool {
+        b.value > a.value || (b.value == a.value && b.index < a.index)
+    }
+
     /// Combine two candidates.
     #[inline]
     pub fn combine(a: MaxLoc, b: MaxLoc) -> MaxLoc {
-        if b.value > a.value || (b.value == a.value && b.index < a.index) {
+        if MaxLoc::displaces(b, a) {
             b
         } else {
             a

@@ -65,8 +65,8 @@ impl<'a> RowView<'a> {
     /// Serialize into `(u32 index, f64 value)` little-endian byte pairs.
     ///
     /// This is the wire format `mpisim` messages use when samples travel
-    /// between ranks (row broadcast in Algorithm 2, ring exchange in
-    /// Algorithm 3).
+    /// between ranks (pivot rows in Algorithm 2's candidate round, ring
+    /// exchange in Algorithm 3).
     pub fn to_bytes(&self, out: &mut Vec<u8>) {
         out.reserve(self.nnz() * 12);
         for (c, v) in self.iter() {

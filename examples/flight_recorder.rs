@@ -66,10 +66,12 @@ fn run_once() -> String {
     // backoff. The first is a single survivable drop on the 1→0 link:
     // rank 0 absorbs the whole backoff as one dominating recv_wait span —
     // exactly the stall/straggler evidence the monitor flags. The second
-    // drops a 2→0 message twice in a row, exhausting the budget: fatal.
+    // drops a 2→1 message twice in a row, exhausting the budget: fatal.
+    // (At p = 3 the candidate allreduce pairs ranks 1 and 2 and folds
+    // rank 0 in through rank 1, so 2→1 carries traffic every iteration.)
     let plan = FaultPlan::new(7)
         .drop_messages(Some(1), Some(0), 1.0, 0.0, f64::INFINITY, 1)
-        .drop_messages(Some(2), Some(0), 1.0, 0.4, f64::INFINITY, 2)
+        .drop_messages(Some(2), Some(1), 1.0, 0.4, f64::INFINITY, 2)
         .with_max_retries(1)
         .with_retry_backoff(0.5);
     let flight = Arc::new(FlightRecorder::new(3, flight_capacity()));
