@@ -218,12 +218,13 @@ impl<'a> DistSolver<'a> {
         self
     }
 
-    /// Set the intra-rank worker-thread count for the fused
-    /// γ-update/shrink sweep and the candidate scan (the paper's hybrid
-    /// MPI+OpenMP layout). Results are bit-identical at every thread
-    /// count; only the simulated critical-path charge changes.
+    /// Set the modeled intra-rank lane count (the paper's hybrid
+    /// MPI+OpenMP layout): every kernel-column fill splits over this many
+    /// static lanes and charges the slowest. The lanes run inline on the
+    /// rank's thread, so results are bit-identical at every count; only
+    /// the simulated critical-path charge changes.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one worker thread");
+        assert!(threads >= 1, "need at least one lane");
         self.cfg.threads = threads;
         self
     }

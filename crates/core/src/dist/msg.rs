@@ -12,7 +12,7 @@
 //!
 //! Encodings are little-endian and self-delimiting; decoders validate
 //! lengths and return `None` on malformed input (a malformed message is a
-//! bug, which callers surface as a panic or a typed error).
+//! bug, which callers surface as [`crate::CoreError::ModelFormat`]).
 
 use shrinksvm_sparse::RowView;
 

@@ -10,6 +10,12 @@
 //! rank ever buffering the full dataset, the reason the paper rejects
 //! `MPI_Allgatherv` here (§IV-B2).
 //!
+//! Each SV's column `K(x_j, ω)` comes from the solver's one kernel-column
+//! routine, [`RankState::fill_pivot_row`] — the gather against a dense
+//! scratch, split over the modeled lanes, priced like a pivot row — so a
+//! reconstruction costs what the sweep's pivot rows cost per column. The
+//! gather is bit-identical to the merge-join, so the gradients are too.
+//!
 //! All shrunk samples are then reactivated; the caller's next phase scan
 //! recomputes `β_up`/`β_low` over the full index sets.
 
@@ -17,30 +23,37 @@ use shrinksvm_mpisim::Comm;
 
 use crate::dist::msg::{decode_sv_block, encode_sv_block, SvEntry};
 use crate::dist::solver::RankState;
+use crate::error::CoreError;
 use crate::smo::state::bound_tol;
 use crate::trace::ReconEvent;
 
 /// Run one gradient reconstruction. Returns the event record (also pushed
 /// onto the rank's trace). A globally-empty shrunk set short-circuits after
-/// one counting allreduce.
-pub(crate) fn reconstruct(st: &mut RankState<'_>, comm: &mut Comm) -> ReconEvent {
+/// one counting allreduce. A ring block that does not decode is a
+/// [`CoreError::ModelFormat`].
+pub(crate) fn reconstruct(
+    st: &mut RankState<'_>,
+    comm: &mut Comm,
+) -> Result<ReconEvent, CoreError> {
     let clock_before = comm.clock();
     let ln = st.local_n();
     let tol = bound_tol(st.c());
 
     // ω_q: locally shrunk samples (Algorithm 3 line 1).
-    let omega: Vec<usize> = (0..ln).filter(|&li| !st.active[li]).collect();
+    let omega: Vec<u32> = (0..ln)
+        .filter(|&li| !st.active[li])
+        .map(|li| li as u32)
+        .collect();
     let reactivated = comm.allreduce_u64_sum(omega.len() as u64);
     if reactivated == 0 {
         // nothing was ever shrunk — gradients are already exact.
-        return ReconEvent {
+        return Ok(ReconEvent {
             at_iteration: st.iterations,
             reactivated: 0,
             sv_count: 0,
             sv_bytes: 0,
-        };
+        });
     }
-    let omega_nnz_sum: u64 = omega.iter().map(|&li| st.row(li).nnz() as u64).sum();
 
     // Local α>0 block.
     let mut entries = Vec::new();
@@ -58,35 +71,38 @@ pub(crate) fn reconstruct(st: &mut RankState<'_>, comm: &mut Comm) -> ReconEvent
     let sv_count = comm.allreduce_u64_sum(entries.len() as u64);
     let sv_bytes = comm.allreduce_u64_sum(my_block.len() as u64);
 
-    // Ring: process own block, then p−1 shifted blocks (lines 2–6).
+    // Ring: process own block, then p−1 shifted blocks (lines 2–6). Each
+    // SV's kernel column over ω is filled, then folded into the partial
+    // gradients in block order.
     let p = comm.size();
     let mut gtmp = vec![0.0f64; omega.len()];
+    let mut column = vec![0.0f64; omega.len()];
     let mut cur = my_block;
     for step in 0..p {
-        let block = decode_sv_block(&cur).expect("well-formed ring block");
-        let mut madds = 0u64;
+        let block = decode_sv_block(&cur).ok_or_else(|| {
+            CoreError::ModelFormat(format!("bad SV block at reconstruction ring step {step}"))
+        })?;
+        let mut cost = 0.0;
+        let mut evals = 0u64;
         for sv in &block {
-            let svr = sv.row();
-            for (k, &li) in omega.iter().enumerate() {
-                gtmp[k] += sv.coef * st.k_vs(li, svr, sv.sq_norm);
+            let (c, ev) = st.fill_pivot_row(&omega, sv.row(), sv.sq_norm, &mut column);
+            cost += c;
+            evals += ev;
+            for (g, &k) in gtmp.iter_mut().zip(&column) {
+                *g += sv.coef * k;
             }
-            madds += svr.nnz() as u64 * omega.len() as u64 + omega_nnz_sum;
         }
-        let evals = block.len() as u64 * omega.len() as u64;
         st.trace.kernel_evals += evals;
-        comm.advance_compute_classed(
-            madds as f64 * st.charge.lambda_per_nnz + evals as f64 * st.charge.kernel_overhead,
-            "recon",
-            None,
-        );
+        comm.advance_compute_classed(cost, "recon", None);
         if step + 1 < p {
             cur = comm.ring_shift(&cur);
         }
     }
 
     // Write back and reactivate (lines 5–6 + §IV-B re-introduction).
-    for (k, &li) in omega.iter().enumerate() {
-        st.grad[li] = gtmp[k] - st.y(li);
+    for (&g, &li) in gtmp.iter().zip(&omega) {
+        let li = li as usize;
+        st.grad[li] = g - st.y(li);
         st.active[li] = true;
     }
     // The active span is the full block again: rebuild the iteration list
@@ -112,5 +128,5 @@ pub(crate) fn reconstruct(st: &mut RankState<'_>, comm: &mut Comm) -> ReconEvent
     st.trace
         .active_curve
         .push((st.iterations, st.part.n() as u64));
-    event
+    Ok(event)
 }

@@ -31,7 +31,6 @@ use shrinksvm_mpisim::{Comm, MaxLoc, MinLoc};
 use shrinksvm_obs::MetricsRegistry;
 use shrinksvm_sparse::{ops, Dataset, RowView, ScratchPad};
 use shrinksvm_threads::schedule::static_block;
-use shrinksvm_threads::ThreadPool;
 
 use crate::cache::KernelCache;
 use crate::dist::checkpoint::{Checkpoint, CheckpointCtx, RankSnapshot};
@@ -110,9 +109,11 @@ pub struct DistConfig {
     pub checkpoint: Option<CheckpointCtx>,
     /// Consistent checkpoint to resume from instead of a cold start.
     pub resume: Option<Arc<Checkpoint>>,
-    /// Intra-rank worker threads for the fused γ-update/shrink sweep and
-    /// the candidate scan (the paper's hybrid MPI+OpenMP layout); clamped
-    /// to ≥ 1. Results are bit-identical at every thread count.
+    /// Modeled intra-rank lanes (the paper's hybrid MPI+OpenMP layout):
+    /// every kernel-column fill splits its rows into this many static
+    /// lanes and charges the slowest one. The lanes run inline on the rank's
+    /// own thread, so results are bit-identical at every count; clamped to
+    /// ≥ 1.
     pub threads: usize,
     /// Dot-product implementation for the hot path.
     pub dots: DotKind,
@@ -120,7 +121,7 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// Config with default compute charges, scatter dots, one intra-rank
-    /// thread and no checkpointing.
+    /// lane and no checkpointing.
     pub fn new(params: SvmParams) -> Self {
         DistConfig {
             params,
@@ -159,33 +160,6 @@ struct PhaseEnd {
     gap: f64,
 }
 
-/// Per-chunk partial result of the fused γ-update/shrink sweep, merged in
-/// chunk order so the outcome is identical at every thread count.
-struct SweepPart {
-    /// Samples that survived this chunk's shrink test.
-    survivors: u64,
-    /// Active-list *positions* that survive the shrink pass, ascending
-    /// within the chunk (empty on non-shrink iterations).
-    keep_pos: Vec<u32>,
-    /// Next iteration's worst-violator candidates, folded over this
-    /// chunk's post-update gradients (shrink survivors only on a shrink
-    /// pass — exactly the span a fresh scan over the compacted active
-    /// list would cover).
-    cand_up: MinLoc,
-    cand_low: MaxLoc,
-}
-
-impl Default for SweepPart {
-    fn default() -> Self {
-        SweepPart {
-            survivors: 0,
-            keep_pos: Vec::new(),
-            cand_up: MinLoc::identity(),
-            cand_low: MaxLoc::identity(),
-        }
-    }
-}
-
 /// Per-rank solver state.
 pub(crate) struct RankState<'a> {
     ds: &'a Dataset,
@@ -209,8 +183,8 @@ pub(crate) struct RankState<'a> {
     active_list: Vec<u32>,
     /// Cached squared norms for owned samples.
     pub(crate) sq: Vec<f64>,
-    /// Intra-rank worker pool for the hot-path loops.
-    pool: ThreadPool,
+    /// Modeled intra-rank lanes of a kernel-column fill (≥ 1).
+    lanes: usize,
     /// Dot-product implementation for pivot-row evaluation.
     dots: DotKind,
     /// Dense scratch the pivot row is scattered into (`DotKind::Scatter`).
@@ -227,7 +201,7 @@ pub(crate) struct RankState<'a> {
     subsequent: SubsequentPolicy,
     pub(crate) iterations: u64,
     pub(crate) trace: RankTrace,
-    pub(crate) charge: ComputeCharge,
+    charge: ComputeCharge,
     pub(crate) recon_sim_time: f64,
     max_iter: u64,
     stall_limit: u64,
@@ -275,7 +249,7 @@ impl<'a> RankState<'a> {
             active,
             active_list: Vec::new(),
             sq,
-            pool: ThreadPool::new(cfg.threads),
+            lanes: cfg.threads.max(1),
             dots: cfg.dots,
             pad: ScratchPad::new(ds.x.ncols()),
             row_cache: cache_on
@@ -436,51 +410,39 @@ impl<'a> RankState<'a> {
         self.ds.x.row(self.lo + li)
     }
 
-    /// Kernel between local sample `li` and a foreign row.
-    #[inline]
-    pub(crate) fn k_vs(&self, li: usize, r: shrinksvm_sparse::RowView<'_>, r_sq: f64) -> f64 {
-        self.kind.eval(self.row(li), r, self.sq[li], r_sq)
-    }
-
-    /// Scan active local samples for the worst-violator candidates,
-    /// chunked over the worker pool.
-    ///
-    /// Deterministic at every thread count: each chunk folds its
-    /// (ascending) share of the active list with the usual index
-    /// tie-breaks, and the per-chunk partials are combined in chunk order.
-    /// `MinLoc`/`MaxLoc` comparison is a total order over `(value, index)`,
-    /// so the fold result is the set minimum/maximum — independent of where
-    /// the chunk boundaries fall.
+    /// Scan active local samples for the worst-violator candidates, with
+    /// the usual index tie-breaks.
     fn local_candidates(&self) -> (MinLoc, MaxLoc) {
-        self.pool.parallel_reduce(
-            0..self.active_list.len(),
-            || (MinLoc::identity(), MaxLoc::identity()),
-            |acc, pos| {
-                let li = self.active_list[pos] as usize;
-                let (y, a, g) = (self.y(li), self.alpha[li], self.grad[li]);
-                let ci = self.c_of(li);
-                let gidx = (self.lo + li) as u64;
-                if in_up_set(y, a, ci) {
-                    acc.0 = MinLoc::combine(
-                        acc.0,
-                        MinLoc {
-                            value: g,
-                            index: gidx,
-                        },
-                    );
-                }
-                if in_low_set(y, a, ci) {
-                    acc.1 = MaxLoc::combine(
-                        acc.1,
-                        MaxLoc {
-                            value: g,
-                            index: gidx,
-                        },
-                    );
-                }
-            },
-            |a, b| (MinLoc::combine(a.0, b.0), MaxLoc::combine(a.1, b.1)),
-        )
+        let mut up = MinLoc::identity();
+        let mut low = MaxLoc::identity();
+        // The phase prologue: one read-only scan per phase, never per
+        // iteration (the fused sweep folds every later scan), and outside
+        // the cost model since the solver's first version. lint: uncharged
+        for &li32 in &self.active_list {
+            let li = li32 as usize;
+            let (y, a, g) = (self.y(li), self.alpha[li], self.grad[li]);
+            let ci = self.c_of(li);
+            let gidx = (self.lo + li) as u64;
+            if in_up_set(y, a, ci) {
+                up = MinLoc::combine(
+                    up,
+                    MinLoc {
+                        value: g,
+                        index: gidx,
+                    },
+                );
+            }
+            if in_low_set(y, a, ci) {
+                low = MaxLoc::combine(
+                    low,
+                    MaxLoc {
+                        value: g,
+                        index: gidx,
+                    },
+                );
+            }
+        }
+        (up, low)
     }
 
     /// Gather a local sample into a wire record.
@@ -521,71 +483,72 @@ impl<'a> RankState<'a> {
         comm.allreduce_minloc_maxloc((up, &up_bytes), (low, &low_bytes))
     }
 
-    /// Fill `out[pos] = K(x_{active_list[pos]}, pivot)` over the active
-    /// span, chunked over the worker pool. Returns per-chunk
-    /// `(madds, evals)` accounting in chunk order; the caller charges the
-    /// critical path (`max` over chunks) to the simulated clock.
+    /// Fill `out[k] = K(x_{rows[k]}, pivot)` over the local rows `rows` —
+    /// the one kernel-column routine: the active list spans the sweep's
+    /// pivot rows, ω spans Algorithm 3's SV columns. Under
+    /// [`DotKind::Scatter`] the pivot is loaded into the [`ScratchPad`]
+    /// once, every row gathers against it, and the pad is cleared.
+    ///
+    /// `rows` splits into `lanes` static lanes, run inline in lane order.
+    /// Returns `(sim_cost, evals)`: the slowest lane's
+    /// [`ComputeCharge::lane`] charge, plus the
+    /// [`ComputeCharge::scatter_setup`] of the pivot under Scatter.
     ///
     /// Kernel values are bit-identical between the two dot
     /// implementations: the scatter gather performs the merge-join's exact
     /// f64 sequence ([`ops::dot_scatter`]), and both feed
     /// [`KernelKind::eval_from_dot`].
-    fn fill_pivot_row(
+    pub(crate) fn fill_pivot_row(
         &mut self,
+        rows: &[u32],
         pivot: RowView<'_>,
         pivot_sq: f64,
         out: &mut [f64],
-    ) -> Vec<(u64, u64)> {
-        let m = out.len();
-        debug_assert_eq!(m, self.active_list.len());
+    ) -> (f64, u64) {
+        let m = rows.len();
+        debug_assert_eq!(m, out.len());
         if m == 0 {
-            return Vec::new();
+            return (0.0, 0);
         }
-        let t = self.pool.nthreads().min(m).max(1);
-        let mut bounds: Vec<usize> = (0..t).map(|w| static_block(0, m, w, t).0).collect();
-        bounds.push(m);
-        let kind = self.kind;
-        let lo = self.lo;
-        match self.dots {
-            DotKind::Scatter => {
-                self.pad.load(pivot);
-                let (pad, active_list, ds, sq) = (&self.pad, &self.active_list, self.ds, &self.sq);
-                let parts = self.pool.parallel_parts(out, &bounds, |_, off, chunk| {
-                    let mut madds = 0u64;
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let li = active_list[off + k] as usize;
-                        let row = ds.x.row(lo + li);
-                        madds += row.nnz() as u64;
-                        *slot = kind.eval_from_dot(pad.dot(row), sq[li], pivot_sq);
-                    }
-                    (madds, chunk.len() as u64)
-                });
-                self.pad.clear();
-                parts
-            }
-            DotKind::MergeJoin => {
-                let pnnz = pivot.nnz() as u64;
-                let (active_list, ds, sq) = (&self.active_list, self.ds, &self.sq);
-                self.pool.parallel_parts(out, &bounds, |_, off, chunk| {
-                    let mut madds = 0u64;
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let li = active_list[off + k] as usize;
-                        let row = ds.x.row(lo + li);
-                        madds += row.nnz() as u64 + pnnz;
-                        *slot = kind.eval_from_dot(ops::dot(row, pivot), sq[li], pivot_sq);
-                    }
-                    (madds, chunk.len() as u64)
-                })
-            }
+        let scatter = self.dots == DotKind::Scatter;
+        if scatter {
+            self.pad.load(pivot);
         }
+        // the merge-join walks the pivot's entries once per row
+        let pivot_walk = if scatter { 0 } else { pivot.nnz() as u64 };
+        let (ds, lo, kind, sq, pad) = (self.ds, self.lo, self.kind, &self.sq, &self.pad);
+        let t = self.lanes.min(m);
+        let mut slowest = 0.0f64;
+        for w in 0..t {
+            let (a, b) = static_block(0, m, w, t);
+            let mut madds = 0u64;
+            for k in a..b {
+                let li = rows[k] as usize;
+                let row = ds.x.row(lo + li);
+                madds += row.nnz() as u64 + pivot_walk;
+                let dot = if scatter {
+                    pad.dot(row)
+                } else {
+                    ops::dot(row, pivot)
+                };
+                out[k] = kind.eval_from_dot(dot, sq[li], pivot_sq);
+            }
+            slowest = slowest.max(self.charge.lane(madds as f64, (b - a) as f64));
+        }
+        let setup = if scatter {
+            self.pad.clear();
+            self.charge.scatter_setup(pivot.nnz() as f64)
+        } else {
+            0.0
+        };
+        (setup + slowest, m as u64)
     }
 
     /// Obtain `K(active, pivot)` over the active span — served from the row
     /// cache when enabled, else freshly computed. Returns
     /// `(row, sim_cost, alt_cost, evals)`:
     ///
-    /// * miss / cache off: the threaded fill's critical-path cost, plus a
-    ///   `2·nnz_pivot` scatter/unscatter setup under [`DotKind::Scatter`];
+    /// * miss / cache off: the fill's charge ([`Self::fill_pivot_row`]);
     /// * hit: one [`ComputeCharge::cache_lookup`] plus the dense fma sweep
     ///   (`max_chunk · fma_per_elem`) — the λ the cache saved is exactly
     ///   what is *not* charged, so simulated time reflects the reuse.
@@ -601,40 +564,28 @@ impl<'a> RankState<'a> {
         pivot_sq: f64,
     ) -> (Arc<Vec<f64>>, f64, f64, u64) {
         let m = self.active_list.len();
-        let charge = self.charge;
+        // Lent out for the fill, which borrows the rank mutably for its
+        // scratch pad; restored below.
+        let rows = std::mem::take(&mut self.active_list);
         let mut cache = self.row_cache.take();
-        let mut fill_parts: Option<Vec<(u64, u64)>> = None;
+        let mut filled: Option<(f64, u64)> = None;
         let row = if let Some(c) = &mut cache {
             c.get_or_compute(gidx as usize, || {
                 let mut v = vec![0.0; m];
-                fill_parts = Some(self.fill_pivot_row(pivot, pivot_sq, &mut v));
+                filled = Some(self.fill_pivot_row(&rows, pivot, pivot_sq, &mut v));
                 v
             })
         } else {
             let mut v = vec![0.0; m];
-            fill_parts = Some(self.fill_pivot_row(pivot, pivot_sq, &mut v));
+            filled = Some(self.fill_pivot_row(&rows, pivot, pivot_sq, &mut v));
             Arc::new(v)
         };
         self.row_cache = cache;
-        let t = self.pool.nthreads().min(m).max(1);
-        let max_chunk = if m == 0 { 0 } else { m.div_ceil(t) };
-        let hit_cost = charge.cache_lookup + max_chunk as f64 * charge.fma_per_elem;
-        match fill_parts {
-            Some(parts) => {
-                let setup = if self.dots == DotKind::Scatter && m > 0 {
-                    2.0 * pivot.nnz() as f64 * charge.lambda_per_nnz
-                } else {
-                    0.0
-                };
-                let crit = parts
-                    .iter()
-                    .map(|&(md, ev)| {
-                        md as f64 * charge.lambda_per_nnz + ev as f64 * charge.kernel_overhead
-                    })
-                    .fold(0.0, f64::max);
-                let evals: u64 = parts.iter().map(|p| p.1).sum();
-                (row, setup + crit, hit_cost, evals)
-            }
+        self.active_list = rows;
+        let max_chunk = m.div_ceil(self.lanes.min(m).max(1));
+        let hit_cost = self.charge.cache_lookup + max_chunk as f64 * self.charge.fma_per_elem;
+        match filled {
+            Some((cost, evals)) => (row, cost, hit_cost, evals),
             None => (row, hit_cost, hit_cost, 0),
         }
     }
@@ -680,7 +631,7 @@ impl<'a> RankState<'a> {
                     row[0],
                     row[1],
                     row[2],
-                    3.0 * self.charge.kernel_overhead,
+                    self.charge.pair_triple(),
                     self.charge.cache_lookup,
                     3,
                 )
@@ -700,7 +651,7 @@ impl<'a> RankState<'a> {
                 v[0],
                 v[1],
                 v[2],
-                3.0 * self.charge.kernel_overhead,
+                self.charge.pair_triple(),
                 self.charge.cache_lookup,
                 3,
             )
@@ -818,11 +769,12 @@ impl<'a> RankState<'a> {
 
             // γ update over the active span (Eq. 2), fused with the shrink
             // pass. Phase A acquires the two pivot kernel rows (cached, or
-            // filled via the configured dot implementation, threaded);
-            // phase B sweeps the gradient chunks over the pool. A zero
-            // delta contributes an exact 0.0 and skips its kernel row, and
-            // the full `cu·K_up + cl·K_low` expression is applied either
-            // way — matching the pre-optimization loop bit-for-bit.
+            // filled over the modeled lanes via the configured dot
+            // implementation); phase B sweeps the gradients in active-list
+            // order. A zero delta contributes an exact 0.0 and skips its
+            // kernel row, and the full `cu·K_up + cl·K_low` expression is
+            // applied either way — matching the pre-optimization loop
+            // bit-for-bit.
             let cu = sup.y * sol.delta_up;
             let cl = slow.y * sol.delta_low;
             let shrink_pass = shrink_enabled && self.shrink_countdown == Some(0);
@@ -855,88 +807,47 @@ impl<'a> RankState<'a> {
             let mut keep: Vec<usize> = Vec::new();
             let mut next_up = MinLoc::identity();
             let mut next_low = MaxLoc::identity();
-            if m > 0 {
-                let t = self.pool.nthreads().min(m).max(1);
-                let mut pos_bounds: Vec<usize> =
-                    (0..t).map(|w| static_block(0, m, w, t).0).collect();
-                pos_bounds.push(m);
-                // Gradient split positions at the chunk-leading active
-                // samples: chunks own disjoint contiguous `grad` slices, and
-                // every active position of chunk `w` falls inside slice `w`.
-                let mut grad_bounds: Vec<usize> = pos_bounds[..t]
-                    .iter()
-                    .map(|&p| self.active_list[p] as usize)
-                    .collect();
-                grad_bounds.push(self.active_list[m - 1] as usize + 1);
-                let (ds, lo, c_pos, c_neg) = (self.ds, self.lo, self.c_pos, self.c_neg);
-                let (active_list, alpha) = (&self.active_list, &self.alpha);
-                let row_up_s = row_up.as_deref().map(|v| v.as_slice());
-                let row_low_s = row_low.as_deref().map(|v| v.as_slice());
-                let parts =
-                    self.pool
-                        .parallel_parts(&mut self.grad, &grad_bounds, |w, off, gpart| {
-                            let mut sp = SweepPart::default();
-                            for pos in pos_bounds[w]..pos_bounds[w + 1] {
-                                let li = active_list[pos] as usize;
-                                let k_up = match row_up_s {
-                                    Some(r) => r[pos],
-                                    None => 0.0,
-                                };
-                                let k_low = match row_low_s {
-                                    Some(r) => r[pos],
-                                    None => 0.0,
-                                };
-                                let g = &mut gpart[li - off];
-                                *g += cu * k_up + cl * k_low;
-                                let y = ds.y[lo + li];
-                                let ci = if y > 0.0 { c_pos } else { c_neg };
-                                let a = alpha[li];
-                                if shrink_pass {
-                                    let set = classify(y, a, ci);
-                                    let in_up_only = matches!(set, IndexSet::I1 | IndexSet::I2);
-                                    let in_low_only = matches!(set, IndexSet::I3 | IndexSet::I4);
-                                    if shrinkable(*g, in_up_only, in_low_only, bup, blow) {
-                                        continue;
-                                    }
-                                    sp.survivors += 1;
-                                    sp.keep_pos.push(pos as u32);
-                                }
-                                // Fused candidate fold: this position is in
-                                // next iteration's scan span (it survived any
-                                // shrink test above), and `*g` is exactly the
-                                // gradient that scan would read.
-                                let gidx = (lo + li) as u64;
-                                if in_up_set(y, a, ci) {
-                                    sp.cand_up = MinLoc::combine(
-                                        sp.cand_up,
-                                        MinLoc {
-                                            value: *g,
-                                            index: gidx,
-                                        },
-                                    );
-                                }
-                                if in_low_set(y, a, ci) {
-                                    sp.cand_low = MaxLoc::combine(
-                                        sp.cand_low,
-                                        MaxLoc {
-                                            value: *g,
-                                            index: gidx,
-                                        },
-                                    );
-                                }
-                            }
-                            sp
-                        });
-                for p in &parts {
-                    survivors += p.survivors;
-                    next_up = MinLoc::combine(next_up, p.cand_up);
-                    next_low = MaxLoc::combine(next_low, p.cand_low);
-                }
+            for pos in 0..m {
+                let li = self.active_list[pos] as usize;
+                let k_up = row_up.as_ref().map_or(0.0, |r| r[pos]);
+                let k_low = row_low.as_ref().map_or(0.0, |r| r[pos]);
+                let g = &mut self.grad[li];
+                *g += cu * k_up + cl * k_low;
+                let g = *g;
+                let (y, a) = (self.ds.y[self.lo + li], self.alpha[li]);
+                let ci = if y > 0.0 { self.c_pos } else { self.c_neg };
                 if shrink_pass {
-                    keep.reserve(survivors as usize);
-                    for p in &parts {
-                        keep.extend(p.keep_pos.iter().map(|&x| x as usize));
+                    let set = classify(y, a, ci);
+                    let in_up_only = matches!(set, IndexSet::I1 | IndexSet::I2);
+                    let in_low_only = matches!(set, IndexSet::I3 | IndexSet::I4);
+                    if shrinkable(g, in_up_only, in_low_only, bup, blow) {
+                        continue;
                     }
+                    survivors += 1;
+                    keep.push(pos);
+                }
+                // Fused candidate fold: this position is in next
+                // iteration's scan span (it survived any shrink test
+                // above), and `g` is exactly the gradient that scan would
+                // read.
+                let gidx = (self.lo + li) as u64;
+                if in_up_set(y, a, ci) {
+                    next_up = MinLoc::combine(
+                        next_up,
+                        MinLoc {
+                            value: g,
+                            index: gidx,
+                        },
+                    );
+                }
+                if in_low_set(y, a, ci) {
+                    next_low = MaxLoc::combine(
+                        next_low,
+                        MaxLoc {
+                            value: g,
+                            index: gidx,
+                        },
+                    );
                 }
             }
             self.trace.sum_active_local += m as u128;
@@ -953,8 +864,7 @@ impl<'a> RankState<'a> {
             if shrink_pass {
                 // Sweep tail: fold the surviving positions back into the
                 // flags, compact the cached rows to the surviving span, and
-                // rebuild the active list — all ordered, so independent of
-                // chunking.
+                // rebuild the active list.
                 let mut ki = 0usize;
                 for (pos, &li32) in self.active_list.iter().enumerate() {
                     if ki < keep.len() && keep[ki] == pos {
@@ -1045,16 +955,18 @@ impl<'a> RankState<'a> {
         let pieces = comm.allgatherv(&block);
         let mut b = shrinksvm_sparse::CsrBuilder::new(self.ds.x.ncols());
         let mut coef = Vec::new();
+        let mut indices = Vec::new();
         for piece in pieces {
             let mut pos = 0;
             while pos < piece.len() {
                 let s = PairSample::decode(&piece, &mut pos)
                     .ok_or_else(|| CoreError::ModelFormat("bad SV gather block".into()))?;
                 coef.push(s.alpha * s.y);
+                indices.push(s.index as usize);
                 b.push_row(&s.cols, &s.vals)?;
             }
         }
-        SvmModel::new(self.kind, b.finish(), coef, bias)
+        Ok(SvmModel::new(self.kind, b.finish(), coef, bias)?.with_training_indices(indices))
     }
 }
 
@@ -1107,7 +1019,7 @@ pub fn train_rank(
                     if !first.converged {
                         first
                     } else {
-                        recon::reconstruct(&mut st, comm);
+                        recon::reconstruct(&mut st, comm)?;
                         st.stage = 1;
                         st.run_phase(comm, eps, false)?
                     }
@@ -1129,7 +1041,7 @@ pub fn train_rank(
                     _ => {
                         st.stage = 1;
                         loop {
-                            recon::reconstruct(&mut st, comm);
+                            recon::reconstruct(&mut st, comm)?;
                             let before = st.iterations;
                             let end = st.run_phase(comm, eps, true)?;
                             if !end.converged || st.iterations == before {
@@ -1147,7 +1059,7 @@ pub fn train_rank(
     let model = st.assemble_model(comm)?;
     st.trace.iterations = st.iterations;
     // Hot-path accounting: per-rank cache counters (they sum to global
-    // totals on merge) and this rank's thread-pool utilization.
+    // totals on merge).
     if let Some(rc) = &st.row_cache {
         let cs = rc.stats();
         st.metrics.inc("kernel_cache_hits", cs.hits);
@@ -1160,8 +1072,6 @@ pub fn train_rank(
         }
     }
     if comm.rank() == 0 {
-        let pool_metrics = st.pool.stats().to_metrics().namespaced("pool");
-        st.metrics.merge(&pool_metrics);
         st.metrics.set_gauge("final_gap", end.gap.max(0.0));
         st.metrics.set_gauge("iterations", st.iterations as f64);
     }

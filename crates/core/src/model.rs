@@ -62,9 +62,15 @@ impl SvmModel {
         let idx = support_indices(alpha, c);
         let sv = x.select_rows(&idx)?;
         let coef: Vec<f64> = idx.iter().map(|&i| alpha[i] * y[i]).collect();
-        let mut m = SvmModel::new(kernel, sv, coef, bias)?;
-        m.training_indices = idx;
-        Ok(m)
+        Ok(SvmModel::new(kernel, sv, coef, bias)?.with_training_indices(idx))
+    }
+
+    /// Record the training-set row index of each SV, parallel to the SV
+    /// rows. The file format does not store them.
+    pub(crate) fn with_training_indices(mut self, idx: Vec<usize>) -> Self {
+        debug_assert_eq!(idx.len(), self.coef.len(), "one index per SV");
+        self.training_indices = idx;
+        self
     }
 
     /// Number of support vectors.

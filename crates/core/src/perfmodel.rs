@@ -15,7 +15,8 @@
 //! rows of `r/2` bytes each — the solver's single communication round per
 //! iteration, which replaces §III-B1's scalar reductions plus two-row
 //! broadcast; each reconstruction costs `(|ω|/p)·|ζ|` evaluations of
-//! compute and `Θ(|X−Ȧ|·G)` of ring bandwidth (§IV-B1/B2).
+//! compute and `Θ(|X−Ȧ|·G)` of ring bandwidth (§IV-B1/B2). Its compute
+//! terms call the same [`ComputeCharge`] functions the solver charges.
 
 use std::time::Instant;
 
@@ -53,6 +54,27 @@ impl ComputeCharge {
     pub fn eval_cost(&self, nnz: usize) -> f64 {
         self.kernel_overhead + self.lambda_per_nnz * nnz as f64
     }
+
+    /// One lane of a kernel-column fill: `evals` kernel evaluations that
+    /// touch `madds` stored entries in total. A fill is charged its slowest
+    /// lane.
+    #[inline]
+    pub fn lane(&self, madds: f64, evals: f64) -> f64 {
+        madds * self.lambda_per_nnz + evals * self.kernel_overhead
+    }
+
+    /// Scatter and unscatter of a `nnz`-entry pivot row through the dense
+    /// scratch, once per kernel-column fill under the gather dot.
+    #[inline]
+    pub fn scatter_setup(&self, nnz: f64) -> f64 {
+        2.0 * nnz * self.lambda_per_nnz
+    }
+
+    /// The `k_uu, k_ll, k_ul` triple of a selected pair.
+    #[inline]
+    pub fn pair_triple(&self) -> f64 {
+        3.0 * self.kernel_overhead
+    }
 }
 
 impl Default for ComputeCharge {
@@ -73,8 +95,6 @@ impl Default for ComputeCharge {
 pub struct MachineModel {
     /// Kernel-evaluation charges.
     pub charge: ComputeCharge,
-    /// Per-iteration scalar bookkeeping seconds (set scans, counters).
-    pub iter_overhead: f64,
     /// Network parameters (Table I's `l` and `1/G`).
     pub net: CostParams,
 }
@@ -83,7 +103,6 @@ impl Default for MachineModel {
     fn default() -> Self {
         MachineModel {
             charge: ComputeCharge::default(),
-            iter_overhead: 2.0e-7,
             net: CostParams::fdr(),
         }
     }
@@ -141,30 +160,39 @@ impl MachineModel {
     /// Project a measured trace to `p` processes.
     ///
     /// `row_bytes` is the serialized size of one sample (for the candidate
-    /// round's payload and the ring volumes).
+    /// round's payload and the ring volumes). Compute is priced by the
+    /// [`ComputeCharge`] functions the solver charges, at its defaults (the
+    /// gather dot, one lane, no kernel cache) and with every row at the
+    /// trace's mean nnz.
     pub fn project(&self, trace: &Trace, p: usize, row_bytes: f64) -> Projection {
         assert!(p >= 1);
         let pf = p as f64;
-        let eval = self
-            .charge
-            .eval_cost(trace.mean_row_nnz.ceil() as usize * 2);
+        let nnz = trace.mean_row_nnz;
         let iters = trace.iterations as f64;
+        let c = &self.charge;
+        // `count` kernel columns spanning `rows` local rows in all: each
+        // scatters its pivot, then every row gathers against it.
+        let column =
+            |count: f64, rows: f64| count * c.scatter_setup(nnz) + c.lane(rows * nnz, rows);
 
-        // γ updates: Σ_t ceil(A_t / p) · 2 evals ≤ (Σ A_t / p + iters) · 2.
-        let gamma_compute = (trace.sum_active as f64 / pf + iters) * 2.0 * eval;
-        // α solve: 3 kernel evaluations + scalar bookkeeping per iteration.
-        let alpha_compute = iters * (3.0 * eval + self.iter_overhead);
+        // γ updates: two pivot columns per iteration over the rank's active
+        // rows, Σ_t ceil(A_t / p) ≤ Σ A_t / p + iters of them per column.
+        let gamma_compute = 2.0 * column(iters, trace.sum_active as f64 / pf + iters);
+        // α solve: the pair's kernel triple.
+        let alpha_compute = iters * c.pair_triple();
         // Pair agreement: one fused MINLOC/MAXLOC allreduce whose payload
         // carries both winners' samples, sized as the solver sends it.
         let sample = row_bytes.round() as usize;
         let pair_comm = iters * self.allreduce_time(p, minloc_maxloc_len(sample, sample));
 
-        // Reconstructions: (|ω|/p)·|ζ| evaluations; ring moves the SV block
-        // through p hops — Θ(|ζ|·row_bytes·G) + p latencies (§IV-B2).
+        // Reconstructions: one column per SV over the rank's ceil(|ω|/p)
+        // shrunk rows; the ring moves the SV block through p hops —
+        // Θ(|ζ|·row_bytes·G) + p latencies (§IV-B2).
         let mut recon_compute = 0.0;
         let mut recon_comm = 0.0;
         for ev in &trace.recon_events {
-            recon_compute += (ev.reactivated as f64 / pf).ceil() * ev.sv_count as f64 * eval;
+            let sv = ev.sv_count as f64;
+            recon_compute += column(sv, sv * (ev.reactivated as f64 / pf).ceil());
             if p > 1 {
                 recon_comm += ev.sv_bytes as f64 * self.net.gap_per_byte
                     + pf * (self.net.latency + self.net.send_overhead);

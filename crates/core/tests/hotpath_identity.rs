@@ -1,8 +1,8 @@
 //! Hot-path identity suite: the rebuilt gradient-update path — dense-scratch
-//! dots, the shrink-aware kernel row cache and intra-rank threading — is a
-//! pure performance layer. At a fixed process count the solver trajectory
-//! is a function of the problem alone, so every combination of
-//! {thread count} × {cache on/off} × {dot implementation} must produce a
+//! dots, the shrink-aware kernel row cache and modeled intra-rank lanes —
+//! is a pure performance layer. At a fixed process count the solver
+//! trajectory is a function of the problem alone, so every combination of
+//! {lane count} × {cache on/off} × {dot implementation} must produce a
 //! **byte-identical** model and an identical iteration count; only the
 //! simulated clock may move.
 //!
@@ -86,7 +86,7 @@ fn hotpath_identity_holds_on_a_single_rank_too() {
 #[test]
 fn optimized_config_cuts_simulated_time() {
     // The point of the layer: same answer, smaller simulated makespan. The
-    // cache converts repeat pivot evaluations into lookups and the threads
+    // cache converts repeat pivot evaluations into lookups and the lanes
     // divide the sweep's critical path.
     let ds = blobs(19);
     let slow = run(&ds, 2, 1, DotKind::MergeJoin, 0);

@@ -4,7 +4,7 @@
 //! gradient-update and kernel-row computations (§V-A) and uses that as the
 //! single-node baseline. This crate is our from-scratch equivalent: a small
 //! fork-join runtime offering `parallel for` with *static* and *dynamic*
-//! scheduling and a map-reduce primitive, built directly on
+//! scheduling, slice partitioning and part-ordered results, built directly on
 //! [`std::thread::scope`] so borrowed data can be captured exactly like an
 //! OpenMP region captures its enclosing scope.
 //!

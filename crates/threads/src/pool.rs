@@ -222,55 +222,6 @@ impl ThreadPool {
         debug_assert_eq!(collected.len(), parts, "every part completes");
         collected
     }
-
-    /// Map-reduce over an index range: each worker folds its share into a
-    /// fresh accumulator from `init`, and the per-worker results are combined
-    /// left-to-right (worker order) with `combine` — deterministic for
-    /// commutative *or* merely associative operations.
-    pub fn parallel_reduce<T, I, F, C>(
-        &self,
-        range: Range<usize>,
-        init: I,
-        fold: F,
-        combine: C,
-    ) -> T
-    where
-        T: Send,
-        I: Fn() -> T + Sync,
-        F: Fn(&mut T, usize) + Sync,
-        C: Fn(T, T) -> T,
-    {
-        let n = range.end.saturating_sub(range.start);
-        let t = self.nthreads.min(n);
-        if t <= 1 {
-            self.stats.record_region(n, true);
-            let mut acc = init();
-            for i in range {
-                fold(&mut acc, i);
-            }
-            return acc;
-        }
-        self.stats.record_region(n, false);
-        let mut partials: Vec<Option<T>> = (0..t).map(|_| None).collect();
-        std::thread::scope(|s| {
-            for (w, slot) in partials.iter_mut().enumerate() {
-                let init = &init;
-                let fold = &fold;
-                let (lo, hi) = static_block(range.start, n, w, t);
-                self.stats.record_worker(w, hi - lo);
-                s.spawn(move || {
-                    let mut acc = init();
-                    for i in lo..hi {
-                        fold(&mut acc, i);
-                    }
-                    *slot = Some(acc);
-                });
-            }
-        });
-        let mut iter = partials.into_iter().map(|p| p.expect("worker completed"));
-        let first = iter.next().expect("at least one worker");
-        iter.fold(first, combine)
-    }
 }
 
 #[cfg(test)]
@@ -349,53 +300,6 @@ mod tests {
                 assert_eq!(*v, i as u64);
             }
         }
-    }
-
-    #[test]
-    fn reduce_matches_sequential() {
-        for nthreads in [1, 2, 4, 9] {
-            let pool = ThreadPool::new(nthreads);
-            let total = pool.parallel_reduce(
-                0..1000usize,
-                || 0u64,
-                |acc, i| *acc += i as u64,
-                |a, b| a + b,
-            );
-            assert_eq!(total, (0..1000u64).sum());
-        }
-    }
-
-    #[test]
-    fn reduce_min_with_index_is_deterministic() {
-        let data: Vec<f64> = (0..500).map(|i| ((i * 37) % 101) as f64).collect();
-        let pool = ThreadPool::new(4);
-        let seq = data
-            .iter()
-            .enumerate()
-            .fold((f64::INFINITY, usize::MAX), |best, (i, &v)| {
-                if v < best.0 {
-                    (v, i)
-                } else {
-                    best
-                }
-            });
-        let par = pool.parallel_reduce(
-            0..data.len(),
-            || (f64::INFINITY, usize::MAX),
-            |acc, i| {
-                if data[i] < acc.0 {
-                    *acc = (data[i], i);
-                }
-            },
-            |a, b| {
-                if b.0 < a.0 {
-                    b
-                } else {
-                    a
-                }
-            },
-        );
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -45,7 +45,8 @@ impl PoolStats {
         }
     }
 
-    /// Parallel regions entered (`parallel_for` / `parallel_reduce` calls).
+    /// Parallel regions entered (`parallel_for` / `parallel_for_slices` /
+    /// `parallel_parts` calls).
     pub fn regions(&self) -> u64 {
         // relaxed: monotonic counter probe; approximate reads are fine
         self.regions.load(Ordering::Relaxed)

@@ -1,14 +1,14 @@
 //! Hot-path A/B benchmark: merge-join vs dense-scratch dots, cold vs warm
-//! kernel row cache, and intra-rank threading — the three layers of the
+//! kernel row cache, and modeled intra-rank lanes — the three layers of the
 //! distributed gradient-update rebuild.
 //!
 //! Four configurations train on the same seeded problem:
 //!
 //! * `merge_nocache_t1` — the pre-optimization hot path (two-pointer
-//!   merge-join dots, no cache, one worker): the speedup denominator
+//!   merge-join dots, no cache, one lane): the speedup denominator
 //! * `scatter_nocache_t1` — dense-scratch dots only
 //! * `scatter_cache_t1` — plus the shrink-aware pivot-row cache
-//! * `scatter_cache_t4` — plus four intra-rank workers
+//! * `scatter_cache_t4` — plus four modeled intra-rank lanes
 //!
 //! The report's extras pin each configuration's makespan and the
 //! `collective_rounds_per_iter` budget that message fusion holds down.
