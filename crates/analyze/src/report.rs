@@ -19,7 +19,7 @@ pub enum Violation {
     },
     /// A received message's vector clock regressed: its source component
     /// was not strictly greater than the last one seen from that source —
-    /// the channel reordered, duplicated or fabricated a message.
+    /// the link reordered, duplicated or fabricated a message.
     ClockRegression {
         /// Receiving rank.
         rank: usize,
@@ -47,7 +47,7 @@ pub enum Violation {
         got: f64,
     },
     /// A message was sent but never received: it was still sitting in the
-    /// destination's channel when the rank finished.
+    /// destination's inbox when the rank finished.
     UnreceivedMessage {
         /// Sending rank.
         src: usize,
@@ -58,7 +58,7 @@ pub enum Violation {
         /// Payload size.
         bytes: usize,
     },
-    /// A message was pulled off a channel (while matching another tag) but
+    /// A message was taken off its link (while matching another tag) but
     /// never matched by any receive before the rank finished.
     UnmatchedPending {
         /// Rank holding the orphaned message.

@@ -3,7 +3,7 @@
 //! Each rank carries one logical clock component per rank. A send
 //! increments the sender's own component and ships a snapshot with the
 //! message; a receive merges the snapshot in. Because the fabric's
-//! channels are FIFO per (src, dst) pair, consecutive messages received
+//! links are FIFO per (src, dst) pair, consecutive messages received
 //! from the same source must carry strictly increasing source components —
 //! any regression means the substrate reordered or duplicated a message.
 

@@ -99,8 +99,6 @@ impl fmt::Display for DeadlockReport {
 #[derive(Debug)]
 pub struct WaitForGraph {
     states: Vec<RankState>,
-    /// Bumped on every state change; lets a detector confirm stability.
-    version: u64,
 }
 
 impl WaitForGraph {
@@ -108,19 +106,12 @@ impl WaitForGraph {
     pub fn new(p: usize) -> Self {
         WaitForGraph {
             states: vec![RankState::Running; p],
-            version: 0,
         }
     }
 
     /// Update one rank's state.
     pub fn set(&mut self, rank: usize, state: RankState) {
         self.states[rank] = state;
-        self.version += 1;
-    }
-
-    /// Current modification count.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Current state of `rank`.
@@ -260,14 +251,5 @@ mod tests {
         let mut g = WaitForGraph::new(1);
         g.set(0, edge(0, 0, 2));
         assert_eq!(g.find_cycle(), Some(vec![0]));
-    }
-
-    #[test]
-    fn version_counts_changes() {
-        let mut g = WaitForGraph::new(2);
-        let v0 = g.version();
-        g.set(0, edge(0, 1, 1));
-        g.set(0, RankState::Running);
-        assert_eq!(g.version(), v0 + 2);
     }
 }

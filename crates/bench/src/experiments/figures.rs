@@ -9,9 +9,11 @@ use crate::runner::{
     VALIDATE_P,
 };
 
-/// Ranks used for the real threaded capture run (the trace is identical at
-/// any p — the trajectory is bit-reproducible — so one capture serves all
-/// projections).
+/// Ranks used for the real threaded capture run whose trace serves every
+/// projected p. That is exact for Original, whose trajectory is
+/// bit-identical at any p. A shrinking run's trajectory matches other p
+/// only up to its first gradient reconstruction, whose ring order depends
+/// on p, so its projected points inherit that drift.
 const CAPTURE_P: usize = 4;
 
 /// One scaling figure: modeled speedups of Default / Shrinking(Worst) /

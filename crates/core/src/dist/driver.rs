@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use shrinksvm_mpisim::{CommStats, CostParams, FaultPlan, Universe, ValidationReport};
 use shrinksvm_obs::flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-use shrinksvm_obs::monitor::{self, HealthConfig, HealthRule};
+use shrinksvm_obs::monitor::{self, HealthRule};
 use shrinksvm_obs::timeline::{Event, Timeline};
 use shrinksvm_obs::{attrib, BenchReport, MetricsRegistry, PerfDoctor, Profile};
 use shrinksvm_sparse::Dataset;
@@ -159,7 +159,6 @@ pub struct DistSolver<'a> {
     faults: Option<FaultPlan>,
     checkpoint: Option<CheckpointPolicy>,
     recovery: Option<RecoveryPolicy>,
-    liveness: Option<Duration>,
     tracing: bool,
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -193,7 +192,6 @@ impl<'a> DistSolver<'a> {
             faults: None,
             checkpoint: None,
             recovery: None,
-            liveness: None,
             tracing: false,
             flight: None,
         }
@@ -278,13 +276,6 @@ impl<'a> DistSolver<'a> {
         self
     }
 
-    /// Override the substrate's liveness timeout (how long a blocked
-    /// receive waits before declaring the peer dead).
-    pub fn with_liveness_timeout(mut self, timeout: Duration) -> Self {
-        self.liveness = Some(timeout);
-        self
-    }
-
     /// Record a per-rank simulated-time timeline (compute spans,
     /// collectives, receive waits, retransmissions, solver phases) into
     /// [`DistRunResult::timeline`]. Purely simulated-time bookkeeping, so
@@ -352,9 +343,6 @@ impl<'a> DistSolver<'a> {
             }
             if self.tracing {
                 universe = universe.with_tracing();
-            }
-            if let Some(lv) = self.liveness {
-                universe = universe.with_liveness_timeout(lv);
             }
             if let Some(plan) = &faults {
                 universe = universe.with_faults(plan.clone());
@@ -496,7 +484,7 @@ impl<'a> DistSolver<'a> {
                 // the churn rule is evaluated here, over the final merged
                 // timeline, and only its events are new (every other rule
                 // already fired — or didn't — inside the universe).
-                let churn: Vec<_> = monitor::analyze(timeline.events(), &HealthConfig::default())
+                let churn: Vec<_> = monitor::analyze(timeline.events())
                     .into_iter()
                     .filter(|h| h.rule == HealthRule::RecoveryChurn)
                     .collect();

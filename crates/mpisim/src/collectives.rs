@@ -25,9 +25,9 @@ impl Comm {
     /// fleet's.
     fn coll_enter(&mut self, kind: CollectiveKind, root: Option<usize>) -> u64 {
         let seq = self.bump_coll_seq();
-        if self.monitor().validate {
+        if self.fabric().validate {
             let rank = self.rank();
-            self.monitor()
+            self.fabric()
                 .post_collective(rank, seq, Fingerprint { kind, root });
         }
         coll_tag(seq)

@@ -2,7 +2,6 @@
 //! the simulated clock.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,16 +11,10 @@ use shrinksvm_obs::flight::FlightRecorder;
 use shrinksvm_obs::timeline::{Event, TrackRecorder};
 
 use crate::cost::CostParams;
-use crate::fabric::{Endpoints, Message};
+use crate::fabric::{Fabric, Message, Stuck};
 use crate::fault::{checksum, corrupt_copy, CrashNotice, Fate, FaultPlan};
-use crate::monitor::{RunMonitor, StallSnapshot};
 use crate::stats::CommStats;
 use crate::MAX_USER_TAG;
-
-/// How often a blocked receive re-checks the deadlock detector. Two
-/// consecutive stalled observations one interval apart confirm a deadlock,
-/// so diagnosis latency is ~2–3 intervals — milliseconds, not minutes.
-const POLL: Duration = Duration::from_millis(5);
 
 /// A nonblocking-operation handle (`MPI_Request` analog).
 ///
@@ -47,21 +40,21 @@ pub enum Request {
 pub struct Comm {
     rank: usize,
     size: usize,
-    endpoints: Endpoints,
-    /// Messages received but not yet matched by tag, per source rank.
+    /// Messages taken off a link but not yet matched by tag, per source
+    /// rank.
     pending: Vec<VecDeque<Message>>,
     clock: f64,
     cost: CostParams,
     stats: CommStats,
     pub(crate) coll_seq: u64,
-    monitor: Arc<RunMonitor>,
+    fabric: Arc<Fabric>,
     /// This rank's vector clock (maintained only under validation).
     vc: VectorClock,
     /// Highest source-clock component seen per source (FIFO monotonicity).
     last_src_clock: Vec<u64>,
-    /// Absolute fallback bound on a single blocking receive, for
-    /// pathologies the wait-for graph cannot see (e.g. a peer spinning
-    /// forever in compute). Configurable via
+    /// Absolute fallback bound on a single blocked wait, for pathologies
+    /// the wait-for graph cannot see (e.g. a peer spinning forever in
+    /// compute). Configurable via
     /// [`crate::Universe::with_liveness_timeout`] / the
     /// `SHRINKSVM_LIVENESS_TIMEOUT_SECS` environment variable.
     liveness: Duration,
@@ -96,16 +89,14 @@ pub struct Comm {
 pub(crate) struct RankFinal {
     pub rank: usize,
     pub pending: Vec<VecDeque<Message>>,
-    pub incoming: Vec<Receiver<Message>>,
 }
 
 impl Comm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        endpoints: Endpoints,
         cost: CostParams,
-        monitor: Arc<RunMonitor>,
+        fabric: Arc<Fabric>,
         liveness: Duration,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
@@ -115,13 +106,12 @@ impl Comm {
         Comm {
             rank,
             size,
-            endpoints,
             pending,
             clock: 0.0,
             cost,
             stats: CommStats::default(),
             coll_seq: 0,
-            monitor,
+            fabric,
             vc: VectorClock::new(size),
             last_src_clock: vec![0; size],
             liveness,
@@ -270,7 +260,7 @@ impl Comm {
             if let Some((idx, factor)) = plan.slow_factor(self.rank, self.clock) {
                 if !self.slow_recorded[idx] {
                     self.slow_recorded[idx] = true;
-                    self.monitor.record_fault(FaultEvent::RankSlowed {
+                    self.fabric.record_fault(FaultEvent::RankSlowed {
                         rank: self.rank,
                         factor,
                         sim_time: self.clock,
@@ -307,7 +297,7 @@ impl Comm {
             return;
         };
         if let Some((rule, _)) = plan.crash_due(self.rank, self.clock) {
-            self.monitor.record_fault(FaultEvent::RankCrashed {
+            self.fabric.record_fault(FaultEvent::RankCrashed {
                 rank: self.rank,
                 sim_time: self.clock,
             });
@@ -340,7 +330,7 @@ impl Comm {
         self.maybe_crash();
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += payload.len() as u64;
-        let vclock = if self.monitor.validate {
+        let vclock = if self.fabric.validate {
             self.vc.tick(self.rank);
             Some(self.vc.clone())
         } else {
@@ -351,9 +341,10 @@ impl Comm {
         if let Some(dep) = &mut self.dep {
             dep.send(before, self.cost.send_overhead, dst as u32, tag, link_seq);
         }
-        self.monitor.note_sent(self.rank, dst);
-        self.endpoints.outgoing[dst]
-            .send(Message {
+        self.fabric.post(
+            self.rank,
+            dst,
+            Message {
                 tag,
                 payload: payload.to_vec(),
                 depart: self.clock,
@@ -361,8 +352,8 @@ impl Comm {
                 checksum: checksum(payload),
                 link_seq,
                 penalty: 0.0,
-            })
-            .unwrap_or_else(|_| panic!("rank {} vanished (channel closed)", dst));
+            },
+        );
     }
 
     /// Blocking receive of a message with `tag` from `src`.
@@ -373,108 +364,80 @@ impl Comm {
 
     pub(crate) fn recv_internal(&mut self, src: usize, tag: u64) -> Vec<u8> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        // Check messages already pulled off the channel.
+        // Check messages already taken off the link.
         if let Some(pos) = self.pending[src].iter().position(|m| m.tag == tag) {
             let msg = self.pending[src].remove(pos).expect("position is in range");
             return self.accept(src, msg);
         }
-        let mut published = false;
-        let mut snapshot: Option<StallSnapshot> = None;
-        let mut waited = Duration::ZERO;
+        let edge = WaitEdge {
+            waiter: self.rank,
+            src,
+            tag,
+            collective: tag >= MAX_USER_TAG,
+        };
         loop {
-            match self.endpoints.incoming[src].recv_timeout(POLL) {
-                Ok(msg) => {
-                    let matched = msg.tag == tag;
-                    // Running before the link count drops: the deadlock
-                    // check must never see this rank blocked on an empty
-                    // link while it holds the message it waited for.
-                    if matched && published {
-                        self.monitor.publish_running(self.rank);
-                    }
-                    self.on_dequeue(src, &msg);
-                    let msg = self.resolve_transport(src, msg);
-                    if matched {
-                        return self.accept(src, msg);
-                    }
-                    self.pending[src].push_back(msg);
-                    // Progress was made but this rank is still blocked on
-                    // `tag`; the published edge stays accurate.
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if !published {
-                        self.monitor.publish_blocked(WaitEdge {
-                            waiter: self.rank,
-                            src,
-                            tag,
-                            collective: tag >= MAX_USER_TAG,
-                        });
-                        published = true;
-                    }
-                    match self.monitor.check_stalled(snapshot) {
-                        Ok(next) => snapshot = next,
-                        Err(report) => {
-                            self.flight_instant(
-                                &format!("deadlock(src={src},tag={tag:#x})"),
-                                "fault",
-                                self.clock,
-                            );
-                            panic!("{report}");
-                        }
-                    }
-                    waited += POLL;
-                    if waited >= self.liveness {
-                        self.flight_instant(
-                            &format!("liveness_timeout(src={src},tag={tag:#x})"),
-                            "fault",
-                            self.clock,
-                        );
-                        panic!(
-                            "rank {}: liveness timeout after {:?} waiting for tag {tag:#x} from \
-                             rank {src} (no global deadlock detected — a peer may be stuck in \
-                             compute)",
-                            self.rank, self.liveness
-                        );
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The only sender for this channel is rank `src` itself,
-                    // so disconnection proves it finished (or panicked) with
-                    // nothing buffered: this receive can never complete.
-                    if !published {
-                        self.monitor.publish_blocked(WaitEdge {
-                            waiter: self.rank,
-                            src,
-                            tag,
-                            collective: tag >= MAX_USER_TAG,
-                        });
-                    }
-                    self.flight_instant(
-                        &format!("peer_vanished(src={src},tag={tag:#x})"),
-                        "fault",
-                        self.clock,
-                    );
-                    panic!(
-                        "rank {}: receive of tag {tag:#x} from rank {src} can never complete: \
-                         rank {src} already finished and left no matching message",
-                        self.rank
-                    );
-                }
+            let msg = match self.fabric.take(edge, self.liveness) {
+                Ok(msg) => msg,
+                Err(stuck) => self.fail_recv(src, tag, stuck),
+            };
+            self.on_dequeue(src, &msg);
+            let msg = self.resolve_transport(src, msg);
+            if msg.tag == tag {
+                return self.accept(src, msg);
+            }
+            self.pending[src].push_back(msg);
+        }
+    }
+
+    /// End a receive that can never complete: mark it on the flight ring
+    /// and panic with the diagnosis.
+    fn fail_recv(&self, src: usize, tag: u64, stuck: Stuck) -> ! {
+        match stuck {
+            Stuck::Deadlock(report) => {
+                self.flight_instant(
+                    &format!("deadlock(src={src},tag={tag:#x})"),
+                    "fault",
+                    self.clock,
+                );
+                panic!("{report}");
+            }
+            Stuck::SourceFinished => {
+                self.flight_instant(
+                    &format!("peer_vanished(src={src},tag={tag:#x})"),
+                    "fault",
+                    self.clock,
+                );
+                panic!(
+                    "rank {}: receive of tag {tag:#x} from rank {src} can never complete: \
+                     rank {src} already finished and left no matching message",
+                    self.rank
+                );
+            }
+            Stuck::TimedOut => {
+                self.flight_instant(
+                    &format!("liveness_timeout(src={src},tag={tag:#x})"),
+                    "fault",
+                    self.clock,
+                );
+                panic!(
+                    "rank {}: liveness timeout after {:?} waiting for tag {tag:#x} from \
+                     rank {src} (no global deadlock detected — a peer may be stuck in \
+                     compute)",
+                    self.rank, self.liveness
+                );
             }
         }
     }
 
-    /// Bookkeeping common to every channel dequeue (matched or buffered):
-    /// the progress counter and the link's in-flight count feed the
-    /// deadlock detector's stall check, and under validation the
-    /// per-source clock components must be strictly increasing in FIFO
-    /// order.
+    /// Bookkeeping common to every message taken off a link (matched or
+    /// buffered): under validation the per-source clock components must
+    /// be strictly increasing in FIFO order.
     fn on_dequeue(&mut self, src: usize, msg: &Message) {
-        self.monitor.note_dequeued(src, self.rank);
         if let Some(vc) = &msg.vclock {
             let got = vc.get(src);
             let prev = self.last_src_clock[src];
             if got <= prev {
-                self.monitor.record(Violation::ClockRegression {
+                self.fabric.record(Violation::ClockRegression {
                     rank: self.rank,
                     src,
                     prev,
@@ -537,7 +500,7 @@ impl Comm {
                 Fate::Delayed(secs) => {
                     msg.penalty += secs;
                     self.stats.delays_seen += 1;
-                    self.monitor.record_fault(FaultEvent::MessageDelayed {
+                    self.fabric.record_fault(FaultEvent::MessageDelayed {
                         rank: self.rank,
                         src,
                         tag: msg.tag,
@@ -550,7 +513,7 @@ impl Comm {
                 }
                 Fate::Lost => {
                     self.stats.drops_seen += 1;
-                    self.monitor.record_fault(FaultEvent::MessageDropped {
+                    self.fabric.record_fault(FaultEvent::MessageDropped {
                         rank: self.rank,
                         src,
                         tag: msg.tag,
@@ -572,7 +535,7 @@ impl Comm {
                         msg.tag
                     );
                     self.stats.corruptions_seen += 1;
-                    self.monitor.record_fault(FaultEvent::MessageCorrupted {
+                    self.fabric.record_fault(FaultEvent::MessageCorrupted {
                         rank: self.rank,
                         src,
                         tag: msg.tag,
@@ -599,7 +562,7 @@ impl Comm {
     ) {
         let attempts = attempt + 1;
         if attempts >= budget {
-            self.monitor.record_fault(FaultEvent::MessageLost {
+            self.fabric.record_fault(FaultEvent::MessageLost {
                 rank: self.rank,
                 src,
                 tag: msg.tag,
@@ -696,9 +659,9 @@ impl Comm {
             self.flight_span("recv_wait", "p2p", self.clock, arrive);
             self.clock = arrive;
         }
-        if self.monitor.validate {
+        if self.fabric.validate {
             if self.clock + 1e-9 < arrive {
-                self.monitor.record(Violation::LogGpViolation {
+                self.fabric.record(Violation::LogGpViolation {
                     rank: self.rank,
                     src,
                     tag: msg.tag,
@@ -755,8 +718,8 @@ impl Comm {
         if tag < MAX_USER_TAG {
             return;
         }
-        if self.monitor.validate {
-            self.monitor.record(Violation::TagOutOfRange {
+        if self.fabric.validate {
+            self.fabric.record(Violation::TagOutOfRange {
                 rank: self.rank,
                 tag,
                 op,
@@ -785,8 +748,8 @@ impl Comm {
         s
     }
 
-    pub(crate) fn monitor(&self) -> &RunMonitor {
-        &self.monitor
+    pub(crate) fn fabric(&self) -> &Fabric {
+        &self.fabric
     }
 
     pub(crate) fn note_allreduce(&mut self) {
@@ -800,13 +763,12 @@ impl Comm {
     }
 
     /// Tear the communicator apart for finalize-time conservation checks:
-    /// unmatched buffered messages and still-queued channel traffic are
-    /// examined by the universe after every rank has joined.
+    /// unmatched buffered messages are examined by the universe, next to
+    /// the rank's still-queued inbox, after every rank has joined.
     pub(crate) fn finalize(self) -> RankFinal {
         RankFinal {
             rank: self.rank,
             pending: self.pending,
-            incoming: self.endpoints.incoming,
         }
     }
 

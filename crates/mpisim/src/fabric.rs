@@ -1,8 +1,29 @@
-//! The channel fabric connecting ranks.
+//! The per-universe fabric: message delivery, blocking receives and the
+//! deadlock verdict, plus the run's validation and fault ledgers.
+//!
+//! One [`Fabric`] is created per [`crate::Universe::run`] call and shared
+//! (via `Arc`) by every rank. Each rank owns an inbox of `(src, message)`
+//! pairs in arrival order; a receive takes the oldest message from its
+//! awaited source, so every directed link is FIFO.
+//!
+//! The inboxes, every rank's [`WaitForGraph`] state, the panicked list and
+//! the diagnosis sit under one lock, and a rank is marked `Blocked` only
+//! while its awaited link is empty and its source unfinished: the post or
+//! the finish that lets it proceed marks it `Running` before waking it.
+//! "Every unfinished rank is blocked" therefore means exactly a deadlock,
+//! and the rank whose block or finish brings that state about renders the
+//! diagnosis at once. The happens-before ledger and conservation audit
+//! only engage when the universe was built with
+//! [`crate::Universe::validated`].
 
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use shrinksvm_analyze::VectorClock;
+use shrinksvm_analyze::{
+    CollectiveLedger, FaultEvent, Fingerprint, RankState, ValidationReport, VectorClock, Violation,
+    WaitEdge, WaitForGraph,
+};
 
 /// One in-flight message.
 #[derive(Debug)]
@@ -23,96 +44,422 @@ pub(crate) struct Message {
     pub link_seq: u64,
     /// Extra in-flight simulated seconds accumulated by injected delays
     /// and retransmission backoff; written by the receiving transport when
-    /// the message is dequeued, folded into the arrival clock when it is
+    /// the message is taken, folded into the arrival clock when it is
     /// matched.
     pub penalty: f64,
 }
 
-/// All channel endpoints belonging to one rank: a sender handle towards
-/// every rank and a receiver handle from every rank.
-pub(crate) struct Endpoints {
-    pub outgoing: Vec<Sender<Message>>,
-    pub incoming: Vec<Receiver<Message>>,
+/// Why a blocking [`Fabric::take`] returned without a message.
+#[derive(Debug)]
+pub(crate) enum Stuck {
+    /// Every unfinished rank is blocked; the rendered diagnosis.
+    Deadlock(String),
+    /// The awaited source finished and left nothing on the link.
+    SourceFinished,
+    /// The liveness watchdog expired with the rank still blocked.
+    TimedOut,
 }
 
-/// Build a fully-connected fabric of `p` ranks.
-///
-/// Returns one [`Endpoints`] per rank. `endpoints[q].outgoing[r]` feeds
-/// `endpoints[r].incoming[q]`; a rank may also send to itself (used by
-/// degenerate collectives), since the channels are buffered.
-pub(crate) fn build(p: usize) -> Vec<Endpoints> {
-    assert!(p >= 1, "need at least one rank");
-    // senders[src][dst], receivers[dst][src]
-    let mut senders: Vec<Vec<Option<Sender<Message>>>> =
-        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    let mut receivers: Vec<Vec<Option<Receiver<Message>>>> =
-        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    for src in 0..p {
-        for dst in 0..p {
-            let (tx, rx) = unbounded();
-            senders[src][dst] = Some(tx);
-            receivers[dst][src] = Some(rx);
+/// Lock a mutex, surviving poisoning (a diagnosed rank panics on purpose;
+/// that must not cascade into opaque `PoisonError` panics on its peers).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Everything the deadlock verdict reads, under one lock.
+struct State {
+    /// Per-destination `(src, message)` queue in arrival order.
+    inbox: Vec<VecDeque<(usize, Message)>>,
+    graph: WaitForGraph,
+    /// Ranks that unwound with a panic, in finishing order (named in the
+    /// deadlock report so the root cause is not masked).
+    panicked: Vec<usize>,
+    /// The deadlock diagnosis, rendered once.
+    diagnosed: Option<String>,
+}
+
+impl State {
+    /// Remove the oldest message on the `src → rank` link.
+    fn pop(&mut self, rank: usize, src: usize) -> Option<Message> {
+        let inbox = &mut self.inbox[rank];
+        let pos = inbox.iter().position(|(from, _)| *from == src)?;
+        inbox.remove(pos).map(|(_, msg)| msg)
+    }
+
+    /// The deadlock diagnosis, rendered the first time every unfinished
+    /// rank is blocked.
+    fn verdict(&mut self) -> Option<String> {
+        if self.diagnosed.is_none() && self.graph.all_blocked() {
+            let mut report = self.graph.deadlock_report().to_string();
+            for rank in &self.panicked {
+                report.push_str(&format!(
+                    "note: rank {rank} exited by panic before the deadlock; \
+                     its panic is the likely root cause\n"
+                ));
+            }
+            self.diagnosed = Some(report);
+        }
+        self.diagnosed.clone()
+    }
+}
+
+/// Shared delivery, blocking and validation state for one universe run.
+pub(crate) struct Fabric {
+    /// Whether full validation (vector clocks, ledger, conservation) is on.
+    pub validate: bool,
+    state: Mutex<State>,
+    /// Rank `r` sleeps on `wake[r]` while blocked.
+    wake: Vec<Condvar>,
+    ledger: Mutex<CollectiveLedger>,
+    violations: Mutex<Vec<Violation>>,
+    /// Fault-injection ledger: every injected fault and transport recovery
+    /// action, when a fault plan is installed.
+    faults: Mutex<Vec<FaultEvent>>,
+}
+
+impl Fabric {
+    pub(crate) fn new(p: usize, validate: bool) -> Self {
+        assert!(p >= 1, "need at least one rank");
+        Fabric {
+            validate,
+            state: Mutex::new(State {
+                inbox: (0..p).map(|_| VecDeque::new()).collect(),
+                graph: WaitForGraph::new(p),
+                panicked: Vec::new(),
+                diagnosed: None,
+            }),
+            wake: (0..p).map(|_| Condvar::new()).collect(),
+            ledger: Mutex::new(CollectiveLedger::new(p)),
+            violations: Mutex::new(Vec::new()),
+            faults: Mutex::new(Vec::new()),
         }
     }
-    senders
-        .into_iter()
-        .zip(receivers)
-        .map(|(out_row, in_row)| Endpoints {
-            outgoing: out_row.into_iter().map(|s| s.unwrap()).collect(),
-            incoming: in_row.into_iter().map(|r| r.unwrap()).collect(),
-        })
-        .collect()
+
+    /// Deliver `msg` on the `src → dst` link. A receiver blocked on this
+    /// link is marked running under the lock and woken after it.
+    pub(crate) fn post(&self, src: usize, dst: usize, msg: Message) {
+        let awaited = {
+            let mut st = lock(&self.state);
+            st.inbox[dst].push_back((src, msg));
+            let awaited = matches!(st.graph.state(dst), RankState::Blocked(e) if e.src == src);
+            if awaited {
+                st.graph.set(dst, RankState::Running);
+            }
+            awaited
+        };
+        if awaited {
+            self.wake[dst].notify_one();
+        }
+    }
+
+    /// Take the next message on the `edge.src → edge.waiter` link,
+    /// blocking while the link is empty. Fails at once when the source
+    /// has finished or the block completes a deadlock, and after
+    /// `liveness` of host time without either.
+    pub(crate) fn take(&self, edge: WaitEdge, liveness: Duration) -> Result<Message, Stuck> {
+        let (rank, src) = (edge.waiter, edge.src);
+        let mut st = lock(&self.state);
+        if let Some(msg) = st.pop(rank, src) {
+            return Ok(msg);
+        }
+        if st.graph.state(src) == RankState::Finished {
+            return Err(Stuck::SourceFinished);
+        }
+        st.graph.set(rank, RankState::Blocked(edge));
+        if let Some(report) = st.verdict() {
+            drop(st);
+            self.wake_all();
+            return Err(Stuck::Deadlock(report));
+        }
+        let (mut st, _) = self.wake[rank]
+            .wait_timeout_while(st, liveness, |st| {
+                st.diagnosed.is_none() && matches!(st.graph.state(rank), RankState::Blocked(_))
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(msg) = st.pop(rank, src) {
+            return Ok(msg);
+        }
+        if let Some(report) = &st.diagnosed {
+            return Err(Stuck::Deadlock(report.clone()));
+        }
+        if st.graph.state(src) == RankState::Finished {
+            return Err(Stuck::SourceFinished);
+        }
+        st.graph.set(rank, RankState::Running);
+        Err(Stuck::TimedOut)
+    }
+
+    /// Rank `rank` returned from its closure (or unwound with a panic —
+    /// either way, no further message from it can ever arrive). Its
+    /// awaiters are woken to fail, and if no rank is left running the
+    /// diagnosis is rendered and every blocked rank woken to report it.
+    pub(crate) fn finish(&self, rank: usize, by_panic: bool) {
+        let woken: Vec<usize> = {
+            let mut st = lock(&self.state);
+            if by_panic {
+                st.panicked.push(rank);
+            }
+            st.graph.set(rank, RankState::Finished);
+            let awaiters: Vec<usize> = (0..self.wake.len())
+                .filter(|&r| matches!(st.graph.state(r), RankState::Blocked(e) if e.src == rank))
+                .collect();
+            for &r in &awaiters {
+                st.graph.set(r, RankState::Running);
+            }
+            if st.verdict().is_some() {
+                (0..self.wake.len()).collect()
+            } else {
+                awaiters
+            }
+        };
+        for r in woken {
+            self.wake[r].notify_one();
+        }
+    }
+
+    fn wake_all(&self) {
+        for cv in &self.wake {
+            cv.notify_one();
+        }
+    }
+
+    /// The first rank that unwound with a panic, if any did.
+    pub(crate) fn first_panicked(&self) -> Option<usize> {
+        lock(&self.state).panicked.first().copied()
+    }
+
+    /// Messages still queued for `rank`, as `(src, message)` in arrival
+    /// order (post-join conservation audit).
+    pub(crate) fn unreceived(&self, rank: usize) -> Vec<(usize, Message)> {
+        lock(&self.state).inbox[rank].drain(..).collect()
+    }
+
+    /// Post a collective fingerprint; panics with the divergence diagnosis
+    /// if this rank's collective sequence has diverged from the fleet's.
+    pub(crate) fn post_collective(&self, rank: usize, seq: u64, fp: Fingerprint) {
+        let result = lock(&self.ledger).post(rank, seq, fp);
+        if let Err(divergence) = result {
+            panic!("{divergence}");
+        }
+    }
+
+    /// Record a validation violation.
+    pub(crate) fn record(&self, v: Violation) {
+        lock(&self.violations).push(v);
+    }
+
+    /// Record a fault-injection ledger entry.
+    pub(crate) fn record_fault(&self, e: FaultEvent) {
+        lock(&self.faults).push(e);
+    }
+
+    /// Drain everything recorded so far into a report (post-join). The
+    /// report is normalized so identical fault seeds render byte-identical
+    /// text regardless of thread scheduling.
+    pub(crate) fn take_report(&self) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        report.extend(std::mem::take(&mut *lock(&self.violations)));
+        report.extend_faults(std::mem::take(&mut *lock(&self.faults)));
+        report.normalize();
+        report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    #[test]
-    fn fabric_wires_src_to_dst() {
-        let mut eps = build(3);
-        // rank 0 -> rank 2
-        eps[0].outgoing[2]
-            .send(Message {
-                tag: 7,
-                payload: vec![1, 2, 3],
-                depart: 0.5,
-                vclock: None,
-                checksum: 0,
-                link_seq: 0,
-                penalty: 0.0,
-            })
-            .unwrap();
-        let got = eps[2].incoming[0].recv().unwrap();
-        assert_eq!(got.tag, 7);
-        assert_eq!(got.payload, vec![1, 2, 3]);
-        assert_eq!(got.depart, 0.5);
-        // nothing arrived anywhere else
-        assert!(eps[1].incoming[0].try_recv().is_err());
-        assert!(eps[2].incoming[1].try_recv().is_err());
-        let _ = &mut eps;
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    fn msg(tag: u64) -> Message {
+        Message {
+            tag,
+            payload: vec![tag as u8],
+            depart: 0.0,
+            vclock: None,
+            checksum: 0,
+            link_seq: 0,
+            penalty: 0.0,
+        }
+    }
+
+    fn edge(waiter: usize, src: usize) -> WaitEdge {
+        WaitEdge {
+            waiter,
+            src,
+            tag: 7,
+            collective: false,
+        }
+    }
+
+    fn state(f: &Fabric, rank: usize) -> RankState {
+        lock(&f.state).graph.state(rank)
+    }
+
+    /// Spin until `rank` is blocked on `src` (its thread reached the wait).
+    fn await_blocked(f: &Fabric, rank: usize, src: usize) {
+        while state(f, rank) != RankState::Blocked(edge(rank, src)) {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
-    fn self_send_works() {
-        let eps = build(1);
-        eps[0].outgoing[0]
-            .send(Message {
-                tag: 1,
-                payload: vec![],
-                depart: 0.0,
-                vclock: None,
-                checksum: 0,
-                link_seq: 0,
-                penalty: 0.0,
+    fn a_post_on_the_awaited_link_wakes_the_receiver_without_a_verdict() {
+        // Rank 1 posts to a blocked rank 0 and blocks itself at once: had
+        // rank 0 stayed marked blocked until its thread ran, this would
+        // read as a head-on deadlock.
+        let f = Arc::new(Fabric::new(2, false));
+        let rank0 = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || {
+                let got = f.take(edge(0, 1), PATIENCE).expect("rank 1 posts");
+                f.post(0, 1, msg(got.tag + 1));
+                got.tag
             })
-            .unwrap();
-        assert!(eps[0].incoming[0].recv().is_ok());
+        };
+        await_blocked(&f, 0, 1);
+        f.post(1, 0, msg(3));
+        let back = f.take(edge(1, 0), PATIENCE).expect("rank 0 answers");
+        assert_eq!(rank0.join().expect("rank 0 thread"), 3);
+        assert_eq!(back.tag, 4);
+        assert!(lock(&f.state).diagnosed.is_none());
     }
 
     #[test]
-    #[should_panic]
+    fn a_post_on_another_link_leaves_the_receiver_blocked() {
+        let f = Arc::new(Fabric::new(3, false));
+        let rank0 = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || f.take(edge(0, 1), PATIENCE).map(|m| m.tag))
+        };
+        await_blocked(&f, 0, 1);
+        f.post(2, 0, msg(5));
+        f.post(0, 0, msg(6));
+        assert_eq!(state(&f, 0), RankState::Blocked(edge(0, 1)));
+        assert!(!rank0.is_finished());
+        f.post(1, 0, msg(9));
+        assert_eq!(rank0.join().expect("rank 0 thread").expect("posted"), 9);
+        // The other links' messages are still queued, untouched.
+        let left: Vec<(usize, u64)> = f
+            .unreceived(0)
+            .into_iter()
+            .map(|(src, m)| (src, m.tag))
+            .collect();
+        assert_eq!(left, vec![(2, 5), (0, 6)]);
+    }
+
+    #[test]
+    fn links_are_fifo_under_interleaved_sources_and_self_sends() {
+        let f = Fabric::new(3, false);
+        for (src, tag) in [
+            (1, 10),
+            (0, 20),
+            (2, 30),
+            (1, 11),
+            (0, 21),
+            (1, 12),
+            (2, 31),
+        ] {
+            f.post(src, 0, msg(tag));
+        }
+        let take = |src| f.take(edge(0, src), PATIENCE).expect("queued").tag;
+        assert_eq!([take(2), take(1), take(0)], [30, 10, 20]);
+        assert_eq!([take(1), take(1), take(0), take(2)], [11, 12, 21, 31]);
+        assert!(f.unreceived(0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one rank")]
     fn zero_ranks_rejected() {
-        build(0);
+        Fabric::new(0, false);
+    }
+
+    #[test]
+    fn a_receive_from_a_finished_source_fails_at_once() {
+        let f = Arc::new(Fabric::new(2, false));
+        f.post(1, 0, msg(1));
+        f.finish(1, false);
+        // The message sent before finishing is still delivered.
+        assert_eq!(f.take(edge(0, 1), PATIENCE).expect("queued").tag, 1);
+        assert!(matches!(
+            f.take(edge(0, 1), PATIENCE),
+            Err(Stuck::SourceFinished)
+        ));
+        // A rank already blocked when its source finishes is woken to fail.
+        let f = Arc::new(Fabric::new(2, false));
+        let rank0 = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || f.take(edge(0, 1), PATIENCE).map(|m| m.tag))
+        };
+        await_blocked(&f, 0, 1);
+        f.finish(1, false);
+        assert!(matches!(
+            rank0.join().expect("rank 0 thread"),
+            Err(Stuck::SourceFinished)
+        ));
+        assert!(lock(&f.state).diagnosed.is_none());
+    }
+
+    #[test]
+    fn the_last_rank_to_block_renders_the_report() {
+        // Rank 2 dies by panic; ranks 0 and 1 then wait on each other.
+        let f = Arc::new(Fabric::new(3, false));
+        f.finish(2, true);
+        let rank0 = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || f.take(edge(0, 1), PATIENCE).map(|m| m.tag))
+        };
+        await_blocked(&f, 0, 1);
+        let Err(Stuck::Deadlock(report)) = f.take(edge(1, 0), PATIENCE) else {
+            panic!("rank 1's block leaves no rank running");
+        };
+        assert!(
+            report.contains("communication deadlock diagnosed"),
+            "{report}"
+        );
+        assert!(report.contains("wait-for cycle"), "{report}");
+        assert!(
+            report.contains("rank 0 blocked in recv(src=1, tag=7)"),
+            "{report}"
+        );
+        assert!(
+            report.contains("rank 1 blocked in recv(src=0, tag=7)"),
+            "{report}"
+        );
+        assert!(report.contains("rank 2: finished"), "{report}");
+        assert!(
+            report.contains("note: rank 2 exited by panic before the deadlock"),
+            "{report}"
+        );
+        // The rank that blocked first is woken with the same diagnosis.
+        match rank0.join().expect("rank 0 thread") {
+            Err(Stuck::Deadlock(first)) => assert_eq!(first, report),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_finish_that_leaves_only_blocked_ranks_renders_the_report() {
+        let f = Arc::new(Fabric::new(3, false));
+        let spawn_take = |waiter, src| {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || f.take(edge(waiter, src), PATIENCE).map(|m| m.tag))
+        };
+        let rank0 = spawn_take(0, 1);
+        await_blocked(&f, 0, 1);
+        let rank1 = spawn_take(1, 0);
+        await_blocked(&f, 1, 0);
+        assert!(lock(&f.state).diagnosed.is_none(), "rank 2 still runs");
+        f.finish(2, false);
+        for rank in [rank0, rank1] {
+            match rank.join().expect("rank thread") {
+                Err(Stuck::Deadlock(report)) => {
+                    assert!(report.contains("wait-for cycle"), "{report}");
+                    assert!(!report.contains("exited by panic"), "{report}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
     }
 }

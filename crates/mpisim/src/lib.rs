@@ -3,9 +3,9 @@
 //!
 //! The paper's solver is an MPI program (MVAPICH2 on InfiniBand FDR); Rust
 //! has no mature MPI binding, and this reproduction must run on one host
-//! anyway. So we build the substrate: every *rank* is an OS thread, every
-//! pair of ranks is connected by an unbounded channel, and the primitives
-//! the paper uses — `Send`/`Recv`, `Isend`/`Irecv`/`Waitall`,
+//! anyway. So we build the substrate: every *rank* is an OS thread with an
+//! unbounded inbox that every rank (itself included) can post to, and the
+//! primitives the paper uses — `Send`/`Recv`, `Isend`/`Irecv`/`Waitall`,
 //! `Bcast` (binomial tree), `Allreduce` (recursive doubling, including
 //! MINLOC/MAXLOC), `Barrier` (dissemination) and a ring shift — are
 //! implemented *on top of the point-to-point layer*, exactly the way an MPI
@@ -37,9 +37,10 @@
 
 //! ## Correctness tooling
 //!
-//! A wait-for-graph deadlock detector is always on: a cyclic blocking
-//! pattern (or a receive from a rank that already finished) is diagnosed in
-//! milliseconds with a per-rank report naming ranks, sources and tags.
+//! A wait-for-graph deadlock verdict is always on. Delivery and blocking
+//! share one lock with every rank's wait-for state, so the receive that
+//! leaves no rank running (or a receive from a rank that already finished)
+//! fails at once, with a per-rank report naming ranks, sources and tags.
 //! [`Universe::validated`] additionally enables per-message vector clocks
 //! (happens-before checks), LogGP clock-consistency checks, a collective
 //! lockstep ledger, user-tag discipline, and finalize-time message
@@ -75,7 +76,6 @@ pub mod cost;
 pub mod env;
 pub mod fabric;
 pub mod fault;
-mod monitor;
 pub mod reduce;
 pub mod stats;
 pub mod universe;

@@ -6,15 +6,14 @@ use std::time::Duration;
 use shrinksvm_analyze::{FaultEvent, ValidationReport, Violation};
 use shrinksvm_obs::critpath::{DepEvent, DepLog};
 use shrinksvm_obs::flight::FlightRecorder;
-use shrinksvm_obs::monitor::{self, HealthConfig};
+use shrinksvm_obs::monitor;
 use shrinksvm_obs::profile::Profile;
 use shrinksvm_obs::timeline::{Event, Timeline};
 
 use crate::comm::{Comm, RankFinal};
 use crate::cost::CostParams;
-use crate::fabric;
+use crate::fabric::{Fabric, Message};
 use crate::fault::{CrashNotice, FaultPlan};
-use crate::monitor::RunMonitor;
 use crate::stats::CommStats;
 
 /// Default liveness timeout: the absolute fallback bound on a single
@@ -57,11 +56,12 @@ pub fn profile_observed<T>(run: &ObservedRun<T>) -> Result<Profile, String> {
 /// A set of `p` simulated ranks sharing a cost model (`MPI_COMM_WORLD`
 /// analog). Construct once, [`Universe::run`] any number of programs.
 ///
-/// A wait-for-graph deadlock detector is always active: a cyclic blocking
-/// pattern is diagnosed in milliseconds with a per-rank report instead of
-/// hanging. Full communication validation (vector clocks, collective
-/// lockstep ledger, message conservation, tag discipline) is opt-in via
-/// [`Universe::validated`] because it adds `O(p)` bookkeeping per message.
+/// A wait-for-graph deadlock verdict is always active: the receive or the
+/// finish that leaves every unfinished rank blocked fails at once with a
+/// per-rank report instead of hanging. Full communication validation
+/// (vector clocks, collective lockstep ledger, message conservation, tag
+/// discipline) is opt-in via [`Universe::validated`] because it adds
+/// `O(p)` bookkeeping per message.
 #[derive(Clone, Debug)]
 pub struct Universe {
     p: usize,
@@ -71,20 +71,18 @@ pub struct Universe {
     faults: Option<Arc<FaultPlan>>,
     tracing: bool,
     flight: Option<Arc<FlightRecorder>>,
-    health: HealthConfig,
 }
 
 /// Publishes this rank's `Finished` state when the closure exits — normally
 /// or by unwinding — so blocked peers can be diagnosed instead of hanging.
-struct FinishGuard<'m> {
-    monitor: &'m RunMonitor,
+struct FinishGuard<'f> {
+    fabric: &'f Fabric,
     rank: usize,
 }
 
 impl Drop for FinishGuard<'_> {
     fn drop(&mut self) {
-        self.monitor
-            .publish_finished(self.rank, std::thread::panicking());
+        self.fabric.finish(self.rank, std::thread::panicking());
     }
 }
 
@@ -117,7 +115,6 @@ impl Universe {
             faults: None,
             tracing: false,
             flight: None,
-            health: HealthConfig::default(),
         }
     }
 
@@ -128,9 +125,9 @@ impl Universe {
     }
 
     /// Set the liveness timeout: the absolute fallback bound on a single
-    /// blocking receive, for pathologies the wait-for-graph detector
-    /// cannot see (e.g. a peer spinning forever in compute). Real
-    /// communication deadlocks are still diagnosed in milliseconds.
+    /// blocked wait, for pathologies the wait-for graph cannot see (e.g. a
+    /// peer spinning forever in compute). Real communication deadlocks
+    /// never wait for it; they are diagnosed at once.
     pub fn with_liveness_timeout(mut self, timeout: Duration) -> Self {
         assert!(!timeout.is_zero(), "liveness timeout must be positive");
         self.liveness = timeout;
@@ -178,13 +175,6 @@ impl Universe {
     /// snapshot is also rendered into the [`ValidationReport`].
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
-        self
-    }
-
-    /// Override the health-monitor thresholds (defaults are conservative
-    /// enough that a fault-free run emits zero health events).
-    pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = health;
         self
     }
 
@@ -284,10 +274,9 @@ impl Universe {
         T: Send,
         F: Fn(&mut Comm) -> T + Send + Sync,
     {
-        let endpoints = fabric::build(self.p);
         let cost = self.cost;
         let p = self.p;
-        let monitor = Arc::new(RunMonitor::new(p, self.validate));
+        let fabric = Arc::new(Fabric::new(p, self.validate));
         let mut outcomes: Vec<Option<RankOutcome<T>>> = (0..p).map(|_| None).collect();
         let mut finals: Vec<RankFinal> = Vec::with_capacity(if self.validate { p } else { 0 });
         let mut tracks: Vec<Vec<Event>> = (0..p).map(|_| Vec::new()).collect();
@@ -295,17 +284,16 @@ impl Universe {
         let mut crashed: Option<CrashNotice> = None;
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(p);
-            for (rank, eps) in endpoints.into_iter().enumerate() {
+            for rank in 0..p {
                 let f = &f;
-                let monitor = Arc::clone(&monitor);
+                let fabric = Arc::clone(&fabric);
                 let validate = self.validate;
                 let tracing = self.tracing;
                 let liveness = self.liveness;
                 let faults = self.faults.clone();
                 let flight = self.flight.clone();
                 handles.push(s.spawn(move || {
-                    let mut comm =
-                        Comm::new(rank, p, eps, cost, Arc::clone(&monitor), liveness, faults);
+                    let mut comm = Comm::new(rank, p, cost, Arc::clone(&fabric), liveness, faults);
                     if tracing {
                         comm.enable_tracing();
                     }
@@ -313,7 +301,7 @@ impl Universe {
                         comm.enable_flight(fr);
                     }
                     let _guard = FinishGuard {
-                        monitor: &monitor,
+                        fabric: &fabric,
                         rank,
                     };
                     let value = f(&mut comm);
@@ -324,8 +312,8 @@ impl Universe {
                         clock: comm.clock(),
                         stats: comm.stats(),
                     };
-                    // Under validation the channel endpoints outlive the
-                    // rank so the universe can audit leftovers post-join.
+                    // Under validation the pending buffers outlive the rank
+                    // so the universe can audit leftovers post-join.
                     let fin = if validate {
                         Some(comm.finalize())
                     } else {
@@ -351,7 +339,7 @@ impl Universe {
             }
             // Prefer the payload of the rank that panicked *first* — peers
             // that died reacting to it are secondary casualties.
-            let preferred = monitor
+            let preferred = fabric
                 .first_panicked()
                 .filter(|&r| matches!(joined.get(r), Some(Some(_))));
             let root = if let Some(r) = preferred {
@@ -371,9 +359,10 @@ impl Universe {
         if let Some(notice) = crashed {
             return Err(notice);
         }
-        let mut report = monitor.take_report();
+        let mut report = fabric.take_report();
         for fin in finals {
-            audit_rank(&mut report, fin);
+            let unreceived = fabric.unreceived(fin.rank);
+            audit_rank(&mut report, fin, unreceived);
         }
         report.normalize();
         let (timeline, deps) = if self.tracing {
@@ -385,9 +374,9 @@ impl Universe {
             // In-flight health verdicts, evaluated over the normalized
             // timeline (events + fault-ledger projections) and overlaid
             // as `cat:"health"` instants. A fault-free run under the
-            // default thresholds produces none, keeping traced artifacts
+            // monitor's thresholds produces none, keeping traced artifacts
             // byte-identical to their pre-monitor baselines.
-            let health = monitor::analyze(tl.events(), &self.health);
+            let health = monitor::analyze(tl.events());
             if !health.is_empty() {
                 for h in &health {
                     let instant = h.to_instant();
@@ -474,10 +463,10 @@ fn ledger_instant(e: &FaultEvent) -> Event {
     }
 }
 
-/// Message-conservation audit of one finished rank: anything still queued on
-/// its channels was sent but never received; anything still in its pending
-/// buffers was received off a channel but never matched.
-fn audit_rank(report: &mut ValidationReport, fin: RankFinal) {
+/// Message-conservation audit of one finished rank: anything still queued in
+/// its inbox was sent but never received; anything still in its pending
+/// buffers was taken off a link but never matched.
+fn audit_rank(report: &mut ValidationReport, fin: RankFinal, unreceived: Vec<(usize, Message)>) {
     let mut extra = Vec::new();
     for (src, queue) in fin.pending.into_iter().enumerate() {
         for msg in queue {
@@ -489,15 +478,13 @@ fn audit_rank(report: &mut ValidationReport, fin: RankFinal) {
             });
         }
     }
-    for (src, rx) in fin.incoming.into_iter().enumerate() {
-        while let Ok(msg) = rx.try_recv() {
-            extra.push(Violation::UnreceivedMessage {
-                src,
-                dst: fin.rank,
-                tag: msg.tag,
-                bytes: msg.payload.len(),
-            });
-        }
+    for (src, msg) in unreceived {
+        extra.push(Violation::UnreceivedMessage {
+            src,
+            dst: fin.rank,
+            tag: msg.tag,
+            bytes: msg.payload.len(),
+        });
     }
     report.extend(extra);
 }
@@ -731,6 +718,35 @@ mod tests {
             s.transfer_time
         );
         assert!((s.comm_time() - 13.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn oversubscribed_fleet_draws_no_false_verdict() {
+        // Far more ranks than host cores: a rank that was posted to but
+        // has not run yet must never read as blocked.
+        use crate::reduce::{MaxLoc, MinLoc};
+        const P: usize = 64;
+        let (out, report) = Universe::new(P).validated().run_report(|c| {
+            let r = c.rank() as u64;
+            let mut agree = 0u64;
+            for round in 0..500u64 {
+                let min = MinLoc {
+                    value: ((r + round) % P as u64) as f64,
+                    index: r,
+                };
+                let max = MaxLoc {
+                    value: ((r * 7 + round) % P as u64) as f64,
+                    index: r,
+                };
+                let ((lo, _), (hi, _)) = c.allreduce_minloc_maxloc((min, &[1]), (max, &[2]));
+                let left = c.ring_shift(&[r as u8; 32]);
+                agree += u64::from(lo.value == 0.0 && hi.value == (P - 1) as f64);
+                agree += u64::from(left == [((r + P as u64 - 1) % P as u64) as u8; 32]);
+            }
+            agree
+        });
+        assert!(report.is_clean(), "{report}");
+        assert!(out.iter().all(|o| o.value == 1000));
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl FlightSnapshot {
 mod tests {
     use super::*;
     use crate::json::check;
-    use crate::monitor::{HealthConfig, HealthEvent, HealthRule};
+    use crate::monitor::{HealthEvent, HealthRule};
 
     fn span(track: u32, name: &str, t0: f64, t1: f64) -> Event {
         Event::Span {
@@ -391,7 +391,7 @@ mod tests {
                 t: 0.1 * (i + 1) as f64,
             });
         }
-        let health = crate::monitor::analyze(&fr.snapshot().all_events(), &HealthConfig::default());
+        let health = crate::monitor::analyze(&fr.snapshot().all_events());
         assert!(
             health.iter().any(|h| h.rule == HealthRule::RetransmitStorm),
             "{health:?}"

@@ -57,7 +57,7 @@ pub use flight::{
     FlightRecorder, FlightSnapshot, RankFlight, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA,
 };
 pub use metrics::{Histogram, MetricsRegistry};
-pub use monitor::{HealthConfig, HealthEvent, HealthRule};
+pub use monitor::{HealthEvent, HealthRule};
 pub use perfdiff::{OpDelta, PerfDiff, PERFDIFF_SCHEMA};
 pub use perfhist::{
     gate_against_tail, parse_ledger, render_history, sparkline, HistoryRow, PERF_HISTORY_SCHEMA,

@@ -9,9 +9,9 @@
 //! [`HealthEvent`], renderable as a `cat:"health"` timeline instant and
 //! serializable into flight recordings.
 //!
-//! Rules are pure functions of the event slice and a [`HealthConfig`]:
+//! Rules are pure functions of the event slice and fixed thresholds:
 //! no wall-clock reads, no unordered iteration, so identical seeds
-//! produce identical health verdicts. Thresholds default conservative —
+//! produce identical health verdicts. The thresholds are conservative —
 //! a fault-free benchmark run must emit **zero** health events (the
 //! bench-diff byte-identity gate depends on it); the rules are tuned to
 //! fire on injected-fault pathologies (backoff-inflated receive waits,
@@ -89,45 +89,28 @@ impl HealthEvent {
     }
 }
 
-/// Thresholds for the watch rules. Fractions are of the observed
-/// makespan; floors are absolute simulated seconds that keep tiny runs
-/// from tripping fraction-only rules.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HealthConfig {
-    /// Heartbeat rule: a silent stretch longer than this fraction of the
-    /// makespan fires.
-    pub heartbeat_gap_frac: f64,
-    /// Heartbeat rule: absolute minimum gap, simulated seconds.
-    pub heartbeat_floor: f64,
-    /// Straggler rule: slowest frontier must exceed `factor × median`.
-    pub straggler_factor: f64,
-    /// Straggler rule: absolute minimum skew, simulated seconds.
-    pub straggler_floor: f64,
-    /// Stall rule: one wait span longer than this fraction of the
-    /// makespan fires.
-    pub stall_frac: f64,
-    /// Stall rule: absolute minimum duration, simulated seconds.
-    pub stall_floor: f64,
-    /// Storm rule: retransmit instants on one rank to fire at.
-    pub retransmit_storm: u64,
-    /// Churn rule: recovery restarts across the run to fire at.
-    pub recovery_churn: u64,
-}
+// Thresholds for the watch rules. Fractions are of the observed makespan;
+// floors are absolute simulated seconds that keep tiny runs from tripping
+// fraction-only rules.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            heartbeat_gap_frac: 0.6,
-            heartbeat_floor: 0.01,
-            straggler_factor: 2.0,
-            straggler_floor: 0.01,
-            stall_frac: 0.35,
-            stall_floor: 0.005,
-            retransmit_storm: 3,
-            recovery_churn: 3,
-        }
-    }
-}
+/// Heartbeat rule: a silent stretch longer than this fraction of the
+/// makespan fires.
+const HEARTBEAT_GAP_FRAC: f64 = 0.6;
+/// Heartbeat rule: absolute minimum gap, simulated seconds.
+const HEARTBEAT_FLOOR: f64 = 0.01;
+/// Straggler rule: slowest frontier must exceed `factor × median`.
+const STRAGGLER_FACTOR: f64 = 2.0;
+/// Straggler rule: absolute minimum skew, simulated seconds.
+const STRAGGLER_FLOOR: f64 = 0.01;
+/// Stall rule: one wait span longer than this fraction of the makespan
+/// fires.
+const STALL_FRAC: f64 = 0.35;
+/// Stall rule: absolute minimum duration, simulated seconds.
+const STALL_FLOOR: f64 = 0.005;
+/// Storm rule: retransmit instants on one rank to fire at.
+const RETRANSMIT_STORM: u64 = 3;
+/// Churn rule: recovery restarts across the run to fire at.
+const RECOVERY_CHURN: u64 = 3;
 
 /// End time of an event (spans end at `t1`, points at their instant).
 fn end(e: &Event) -> f64 {
@@ -147,7 +130,7 @@ fn watchable(e: &Event) -> bool {
 /// Evaluate every watch rule over `events` (any order; the rules sort
 /// what they need). Returns firings ordered by (time, rank, rule key) —
 /// a deterministic total order.
-pub fn analyze(events: &[Event], cfg: &HealthConfig) -> Vec<HealthEvent> {
+pub fn analyze(events: &[Event]) -> Vec<HealthEvent> {
     let watched: Vec<&Event> = events.iter().filter(|e| watchable(e)).collect();
     if watched.is_empty() {
         return Vec::new();
@@ -158,7 +141,7 @@ pub fn analyze(events: &[Event], cfg: &HealthConfig) -> Vec<HealthEvent> {
 
     // Heartbeat gaps: the largest silent stretch between one event's end
     // and the next event's start on the same rank.
-    let gap_threshold = (cfg.heartbeat_gap_frac * makespan).max(cfg.heartbeat_floor);
+    let gap_threshold = (HEARTBEAT_GAP_FRAC * makespan).max(HEARTBEAT_FLOOR);
     for track in 0..tracks as u32 {
         let mut bounds: Vec<(f64, f64)> = watched
             .iter()
@@ -203,7 +186,7 @@ pub fn analyze(events: &[Event], cfg: &HealthConfig) -> Vec<HealthEvent> {
         // baseline, so a 2× straggler is still visible.
         let median = sorted[(sorted.len() - 1) / 2];
         for &(track, frontier) in &frontiers {
-            if frontier > cfg.straggler_factor * median && frontier - median > cfg.straggler_floor {
+            if frontier > STRAGGLER_FACTOR * median && frontier - median > STRAGGLER_FLOOR {
                 out.push(HealthEvent {
                     rule: HealthRule::Straggler,
                     track,
@@ -218,7 +201,7 @@ pub fn analyze(events: &[Event], cfg: &HealthConfig) -> Vec<HealthEvent> {
     }
 
     // Collective-wait stalls: one coll/p2p wait dominating the run.
-    let stall_threshold = (cfg.stall_frac * makespan).max(cfg.stall_floor);
+    let stall_threshold = (STALL_FRAC * makespan).max(STALL_FLOOR);
     for e in &watched {
         if let Event::Span {
             track,
@@ -254,7 +237,7 @@ pub fn analyze(events: &[Event], cfg: &HealthConfig) -> Vec<HealthEvent> {
                 }
             }
         }
-        if count >= cfg.retransmit_storm {
+        if count >= RETRANSMIT_STORM {
             out.push(HealthEvent {
                 rule: HealthRule::RetransmitStorm,
                 track,
@@ -278,7 +261,7 @@ pub fn analyze(events: &[Event], cfg: &HealthConfig) -> Vec<HealthEvent> {
             }
         }
     }
-    if churn >= cfg.recovery_churn {
+    if churn >= RECOVERY_CHURN {
         let (track, t) = last.unwrap_or((0, makespan));
         out.push(HealthEvent {
             rule: HealthRule::RecoveryChurn,
@@ -334,19 +317,19 @@ mod tests {
 
     #[test]
     fn healthy_run_emits_nothing() {
-        assert_eq!(analyze(&healthy(), &HealthConfig::default()), Vec::new());
+        assert_eq!(analyze(&healthy()), Vec::new());
     }
 
     #[test]
     fn empty_slice_emits_nothing() {
-        assert!(analyze(&[], &HealthConfig::default()).is_empty());
+        assert!(analyze(&[]).is_empty());
     }
 
     #[test]
     fn heartbeat_gap_fires_on_a_silent_stretch() {
         let mut ev = healthy();
         ev.push(span(0, "late", "compute", 4.0, 4.1));
-        let health = analyze(&ev, &HealthConfig::default());
+        let health = analyze(&ev);
         assert!(
             health
                 .iter()
@@ -360,7 +343,7 @@ mod tests {
         let mut ev = healthy();
         ev.push(span(2, "compute", "compute", 0.0, 0.4));
         ev.push(span(2, "compute", "compute", 0.4, 3.0));
-        let health = analyze(&ev, &HealthConfig::default());
+        let health = analyze(&ev);
         let straggler: Vec<_> = health
             .iter()
             .filter(|h| h.rule == HealthRule::Straggler)
@@ -373,7 +356,7 @@ mod tests {
     fn stall_fires_on_one_dominant_wait() {
         let mut ev = healthy();
         ev.push(span(1, "recv_wait", "p2p", 0.0, 0.9));
-        let health = analyze(&ev, &HealthConfig::default());
+        let health = analyze(&ev);
         assert!(
             health
                 .iter()
@@ -391,7 +374,7 @@ mod tests {
         // two on rank 0: below threshold
         ev.push(instant(0, "retransmit", "fault", 0.2));
         ev.push(instant(0, "retransmit", "fault", 0.3));
-        let health = analyze(&ev, &HealthConfig::default());
+        let health = analyze(&ev);
         let storms: Vec<_> = health
             .iter()
             .filter(|h| h.rule == HealthRule::RetransmitStorm)
@@ -406,7 +389,7 @@ mod tests {
         for i in 0..3 {
             ev.push(instant(0, "recovery_restart", "recovery", 0.1 * i as f64));
         }
-        let health = analyze(&ev, &HealthConfig::default());
+        let health = analyze(&ev);
         assert!(
             health.iter().any(|h| h.rule == HealthRule::RecoveryChurn),
             "{health:?}"
@@ -417,7 +400,7 @@ mod tests {
     fn previously_emitted_health_instants_are_ignored() {
         let mut ev = healthy();
         ev.push(instant(0, "straggler: x", "health", 5.0));
-        assert!(analyze(&ev, &HealthConfig::default()).is_empty());
+        assert!(analyze(&ev).is_empty());
     }
 
     #[test]
@@ -427,9 +410,9 @@ mod tests {
         for i in 0..3 {
             ev.push(instant(1, "retransmit", "fault", 0.2 + 0.1 * i as f64));
         }
-        let a = analyze(&ev, &HealthConfig::default());
+        let a = analyze(&ev);
         ev.reverse();
-        let b = analyze(&ev, &HealthConfig::default());
+        let b = analyze(&ev);
         assert_eq!(a, b);
     }
 

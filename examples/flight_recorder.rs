@@ -34,12 +34,12 @@ use shrinksvm_core::dist::flight_capacity;
 use shrinksvm_datagen::gaussian;
 use shrinksvm_obs::flight::FlightRecorder;
 use shrinksvm_obs::json;
-use shrinksvm_obs::monitor::{self, HealthConfig, HealthRule};
+use shrinksvm_obs::monitor::{self, HealthRule};
 
 /// The injected drops make rank threads die with *expected* panics (the
-/// exhausted receive, then its peers' orphaned endpoints). Silence those
-/// so the demonstration output is the flight recorder, not a backtrace
-/// wall; anything unexpected still reaches the default hook.
+/// exhausted receive, then its peers' receives from the dead rank).
+/// Silence those so the demonstration output is the flight recorder, not
+/// a backtrace wall; anything unexpected still reaches the default hook.
 fn quiet_expected_panics() {
     let prev = panic::take_hook();
     panic::set_hook(Box::new(move |info| {
@@ -49,9 +49,7 @@ fn quiet_expected_panics() {
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
         let expected = msg.is_some_and(|m| {
-            m.contains("retry budget exhausted")
-                || m.contains("can never complete")
-                || m.contains("vanished (channel closed)")
+            m.contains("retry budget exhausted") || m.contains("can never complete")
         });
         if !expected {
             prev(info);
@@ -89,7 +87,7 @@ fn run_once() -> String {
 
     let snap = flight.snapshot();
     assert!(!snap.is_empty(), "the black box must not be empty");
-    let health = monitor::analyze(&snap.all_events(), &HealthConfig::default());
+    let health = monitor::analyze(&snap.all_events());
     assert!(
         health
             .iter()

@@ -4,7 +4,7 @@
 
 use shrinksvm::prelude::*;
 use shrinksvm_datagen::gaussian;
-use shrinksvm_obs::monitor::{self, HealthConfig};
+use shrinksvm_obs::monitor;
 use shrinksvm_obs::{json, Event, FlightRecorder, Timeline, TrackRecorder};
 
 fn params() -> SvmParams {
@@ -161,7 +161,7 @@ fn fault_free_runs_emit_zero_health_events() {
         .any(|e| matches!(e, Event::Instant { cat, .. } if cat == "health")),);
     assert!(!run.metrics.snapshot().contains("health_"));
     // and a fresh analysis over the same timeline agrees
-    let health = monitor::analyze(run.timeline.events(), &HealthConfig::default());
+    let health = monitor::analyze(run.timeline.events());
     assert!(health.is_empty(), "{health:?}");
 }
 
@@ -191,7 +191,7 @@ fn text_renderer_interleaves_health_with_fault_events() {
     r0.span("recv_wait", "p2p", 0.0, 0.9);
     r0.instant("retransmit", "fault", 0.1);
     let mut tl = Timeline::from_tracks(vec![r0.finish()]);
-    for h in monitor::analyze(tl.events(), &HealthConfig::default()) {
+    for h in monitor::analyze(tl.events()) {
         tl.push(h.to_instant());
     }
     tl.normalize();

@@ -34,7 +34,7 @@ use shrinksvm_datagen::gaussian;
 use shrinksvm_mpisim::FaultPlan;
 use shrinksvm_obs::flight::FlightRecorder;
 use shrinksvm_obs::json;
-use shrinksvm_obs::monitor::{self, HealthConfig};
+use shrinksvm_obs::monitor;
 use shrinksvm_sparse::Dataset;
 
 /// Schema tag stamped into every soak report.
@@ -138,10 +138,9 @@ pub struct SoakReport {
 
 /// Injected crashes unwind rank threads with a `CrashNotice` payload the
 /// driver catches and recovers from, and the dead rank's peers then
-/// unwind with an orphaned-endpoint diagnosis ("can never complete" on a
-/// receive, "vanished (channel closed)" on a send); without this filter
-/// the default panic hook would spam the soak output with a backtrace
-/// for every *expected* crash. Any other panic — liveness timeouts,
+/// unwind when they receive from it ("can never complete"); without this
+/// filter the default panic hook would spam the soak output with a
+/// backtrace for every *expected* crash. Any other panic — liveness timeouts,
 /// retry-budget exhaustion, real bugs — still reaches the previous hook
 /// untouched.
 fn quiet_expected_crashes() {
@@ -157,9 +156,7 @@ fn quiet_expected_crashes() {
             let expected = payload
                 .downcast_ref::<shrinksvm_mpisim::CrashNotice>()
                 .is_some()
-                || msg.is_some_and(|m| {
-                    m.contains("can never complete") || m.contains("vanished (channel closed)")
-                });
+                || msg.is_some_and(|m| m.contains("can never complete"));
             if !expected {
                 prev(info);
             }
@@ -342,7 +339,7 @@ fn capture_flight(scenario: &Scenario<'_>, fp: &FaultPlan, name: &str, class: &s
         scenario.run_flight(fp.clone(), Some(Arc::clone(&fr)))
     }));
     let snap = fr.snapshot();
-    let health = monitor::analyze(&snap.all_events(), &HealthConfig::default());
+    let health = monitor::analyze(&snap.all_events());
     snap.to_json(name, class, &health)
 }
 
