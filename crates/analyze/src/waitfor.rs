@@ -4,8 +4,7 @@
 //! has at most one outgoing edge (a rank blocks on one receive at a time),
 //! so the wait-for graph is a functional graph and cycle detection is a
 //! successor walk. A deadlock is diagnosed when every unfinished rank is
-//! blocked: either the walk closes a cycle, or some rank waits on a rank
-//! that already finished and whose message can therefore never arrive.
+//! blocked.
 
 use std::fmt;
 
@@ -80,15 +79,7 @@ impl fmt::Display for DeadlockReport {
             match st {
                 RankState::Running => writeln!(f, "  rank {rank}: running")?,
                 RankState::Finished => writeln!(f, "  rank {rank}: finished")?,
-                RankState::Blocked(edge) => {
-                    let fate = match self.states.get(edge.src) {
-                        Some(RankState::Finished) => {
-                            " — source already finished; message can never arrive"
-                        }
-                        _ => "",
-                    };
-                    writeln!(f, "  {edge}{fate}")?;
-                }
+                RankState::Blocked(edge) => writeln!(f, "  {edge}")?,
             }
         }
         Ok(())
@@ -212,17 +203,13 @@ mod tests {
     }
 
     #[test]
-    fn chain_to_finished_rank_has_no_cycle_but_reports_fate() {
+    fn chain_to_finished_rank_has_no_cycle() {
         let mut g = WaitForGraph::new(2);
         g.set(0, RankState::Finished);
         g.set(1, edge(1, 0, 9));
         assert!(g.all_blocked());
         assert!(g.find_cycle().is_none());
         let report = g.deadlock_report().to_string();
-        assert!(
-            report.contains("source already finished"),
-            "missing fate note: {report}"
-        );
         assert!(
             report.contains("rank 1 blocked in recv(src=0, tag=9)"),
             "{report}"

@@ -1,9 +1,10 @@
 //! The trained classifier.
 
+use std::cell::RefCell;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use shrinksvm_sparse::{CsrBuilder, CsrMatrix, RowView};
+use shrinksvm_sparse::{CsrBuilder, CsrMatrix, RowView, ScratchPad};
 
 use crate::error::CoreError;
 use crate::kernel::KernelKind;
@@ -104,16 +105,31 @@ impl SvmModel {
     }
 
     /// Decision value `D(x)`.
+    ///
+    /// `x` is loaded into this thread's [`ScratchPad`] once, and each SV
+    /// row gathers against it in SV order. `pad.dot(sv_j)` multiplies
+    /// `sv_j`'s values by `x`'s in ascending column order, the same
+    /// operands as `ops::dot(sv_j, x)`, so `D(x)` is bit-identical to
+    /// `Σ_j coef_j · kernel.eval(sv_j, x, ‖sv_j‖², ‖x‖²) − β`. The pad is
+    /// per thread because callers predict rows in parallel; it grows to the
+    /// widest row or model it has seen and is left cleared.
     pub fn decision(&self, x: RowView<'_>) -> f64 {
-        let x_sq = x.squared_norm();
-        let mut acc = 0.0;
-        for (j, &cj) in self.coef.iter().enumerate() {
-            acc += cj
-                * self
-                    .kernel
-                    .eval(self.sv.row(j), x, self.sv_sq_norms[j], x_sq);
+        thread_local! {
+            static PAD: RefCell<ScratchPad> = RefCell::new(ScratchPad::new(0));
         }
-        acc - self.bias
+        let x_sq = x.squared_norm();
+        let x_dim = x.indices.last().map_or(0, |&c| c as usize + 1);
+        PAD.with_borrow_mut(|pad| {
+            pad.ensure_dim(x_dim.max(self.sv.ncols()));
+            pad.load(x);
+            let mut acc = 0.0;
+            for (j, &cj) in self.coef.iter().enumerate() {
+                let dot = pad.dot(self.sv.row(j));
+                acc += cj * self.kernel.eval_from_dot(dot, self.sv_sq_norms[j], x_sq);
+            }
+            pad.clear();
+            acc - self.bias
+        })
     }
 
     /// Predicted label (`+1.0` / `-1.0`; ties go positive).

@@ -10,15 +10,18 @@
 //! active span wholesale — gradient reconstruction and a checkpoint restore
 //! under an injected rank crash — since a stale positional row surviving
 //! either would corrupt gradients silently.
+//!
+//! Prediction gathers through the same scratch pad, so `SvmModel::decision`
+//! is pinned bit for bit to the merge-join sum it replaced.
 
 use shrinksvm_core::dist::{CheckpointPolicy, DistRunResult, DistSolver, DotKind};
 use shrinksvm_core::kernel::KernelKind;
 use shrinksvm_core::model::SvmModel;
 use shrinksvm_core::params::SvmParams;
 use shrinksvm_core::shrink::ShrinkPolicy;
-use shrinksvm_datagen::gaussian;
+use shrinksvm_datagen::{gaussian, PaperData, PaperDataset};
 use shrinksvm_mpisim::{FaultPlan, TraceEvent};
-use shrinksvm_sparse::Dataset;
+use shrinksvm_sparse::{CsrMatrix, Dataset, RowView};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 const DOTS: [DotKind; 2] = [DotKind::MergeJoin, DotKind::Scatter];
@@ -198,4 +201,158 @@ fn cache_survives_crash_recovery_with_the_exact_model() {
             "seed {seed}: recovery must reproduce the fault-free model bit-for-bit"
         );
     }
+}
+
+/// The merge-join decision `Σ_j coef_j · K(sv_j, x) − β` that
+/// `SvmModel::decision` must reproduce bit for bit.
+fn merge_join_decision(m: &SvmModel, x: RowView<'_>) -> f64 {
+    let (sv, kind) = (m.support_vectors(), m.kernel());
+    let x_sq = x.squared_norm();
+    let mut acc = 0.0;
+    for (j, &cj) in m.coefficients().iter().enumerate() {
+        let sv_j = sv.row(j);
+        acc += cj * kind.eval(sv_j, x, sv_j.squared_norm(), x_sq);
+    }
+    acc - m.bias()
+}
+
+/// The four kernel families, RBF at the analog's Table-III width.
+fn kernel_kinds(data: &PaperData) -> [KernelKind; 4] {
+    [
+        KernelKind::rbf_from_sigma_sq(data.sigma_sq),
+        KernelKind::Linear,
+        KernelKind::Poly {
+            gamma: 0.5,
+            coef0: 1.0,
+            degree: 3,
+        },
+        KernelKind::Sigmoid {
+            gamma: 0.05,
+            coef0: -0.3,
+        },
+    ]
+}
+
+/// A model over `x` with every third row as an SV and mixed-sign
+/// coefficients.
+fn every_third_sv_model(kind: KernelKind, x: &CsrMatrix) -> SvmModel {
+    let idx: Vec<usize> = (0..x.nrows()).step_by(3).collect();
+    let coef = (0..idx.len())
+        .map(|k| if k % 2 == 0 { 1.0 } else { -1.0 } * (0.5 + (k % 7) as f64 * 0.37))
+        .collect();
+    let sv = x.select_rows(&idx).expect("rows in range");
+    SvmModel::new(kind, sv, coef, 0.125).expect("one coefficient per SV")
+}
+
+type OwnedRow = (Vec<u32>, Vec<f64>);
+
+/// Every train and test row of the analog, then a row reaching past the
+/// model's columns and an empty row.
+fn prediction_rows(data: &PaperData) -> Vec<OwnedRow> {
+    let mut rows: Vec<OwnedRow> = Vec::new();
+    for ds in std::iter::once(&data.train).chain(&data.test) {
+        for i in 0..ds.len() {
+            let r = ds.x.row(i);
+            rows.push((r.indices.to_vec(), r.values.to_vec()));
+        }
+    }
+    let ncols = data.train.x.ncols() as u32;
+    rows.push((
+        vec![0, 2, ncols + 1, ncols + 4096],
+        vec![0.75, -1.5, 2.0, 3.25],
+    ));
+    rows.push((Vec::new(), Vec::new()));
+    rows
+}
+
+fn view(row: &OwnedRow) -> RowView<'_> {
+    RowView {
+        indices: &row.0,
+        values: &row.1,
+    }
+}
+
+/// The URL and a9a analogs at `generate(0.02)`: each kernel kind's model
+/// (and its text copy), with the rows it predicts.
+fn prediction_cases() -> Vec<(String, SvmModel, Vec<OwnedRow>)> {
+    let mut cases = Vec::new();
+    for which in [PaperDataset::Url, PaperDataset::Adult9] {
+        let data = which.generate(0.02);
+        let rows = prediction_rows(&data);
+        for kind in kernel_kinds(&data) {
+            let m = every_third_sv_model(kind, &data.train.x);
+            let copy = SvmModel::read_from(&model_bytes(&m)[..]).expect("model text parses");
+            cases.push((format!("{} {}", data.name, kind.name()), m, rows.clone()));
+            cases.push((
+                format!("{} {} (read_from)", data.name, kind.name()),
+                copy,
+                rows.clone(),
+            ));
+        }
+    }
+    cases
+}
+
+#[test]
+fn prediction_gathers_bitwise_like_the_merge_join() {
+    let cases = prediction_cases();
+    // four threads at once, each starting from a different case, so every
+    // thread-local pad serves models of both widths
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let cases = &cases;
+            s.spawn(move || {
+                for k in 0..cases.len() {
+                    let (tag, m, rows) = &cases[(k + 3 * t) % cases.len()];
+                    for (i, row) in rows.iter().enumerate() {
+                        let x = view(row);
+                        assert_eq!(
+                            m.decision(x).to_bits(),
+                            merge_join_decision(m, x).to_bits(),
+                            "{tag}: row {i} on thread {t}"
+                        );
+                    }
+                }
+            });
+        }
+    });
+    // the text copy predicts exactly what the model does
+    for pair in cases.chunks(2) {
+        let [(tag, m, rows), (_, copy, _)] = pair else {
+            unreachable!("cases come in model/copy pairs")
+        };
+        for row in rows {
+            let x = view(row);
+            assert_eq!(m.decision(x).to_bits(), copy.decision(x).to_bits(), "{tag}");
+        }
+    }
+}
+
+#[test]
+fn one_thread_alternating_narrow_and_wide_models_stays_exact() {
+    // A fresh thread's pad starts empty: the narrow a9a model grows it to
+    // 123 columns, the wide URL model to 50,000, and every decision must
+    // leave it clean for the next, whichever width comes next.
+    std::thread::spawn(|| {
+        let narrow_data = PaperDataset::Adult9.generate(0.02);
+        let wide_data = PaperDataset::Url.generate(0.02);
+        let narrow = every_third_sv_model(KernelKind::Linear, &narrow_data.train.x);
+        let wide = every_third_sv_model(
+            KernelKind::rbf_from_sigma_sq(wide_data.sigma_sq),
+            &wide_data.train.x,
+        );
+        let (narrow_rows, wide_rows) = (prediction_rows(&narrow_data), prediction_rows(&wide_data));
+        for (i, (a, b)) in narrow_rows.iter().zip(wide_rows.iter().rev()).enumerate() {
+            for (m, row) in [(&narrow, a), (&wide, b), (&narrow, b), (&wide, a)] {
+                let x = view(row);
+                assert_eq!(
+                    m.decision(x).to_bits(),
+                    merge_join_decision(m, x).to_bits(),
+                    "step {i}"
+                );
+            }
+        }
+    })
+    .join()
+    .expect("the alternating thread passes");
 }

@@ -47,27 +47,30 @@ pub fn dot_dense(a: RowView<'_>, dense: &[f64]) -> f64 {
 ///
 /// `dense`/`occupied` describe a sparse row `b` that has been scattered into
 /// a dense scratch buffer (see [`crate::scratch::ScratchPad`]): `occupied[c]`
-/// is true exactly at `b`'s stored columns. The accumulator adds
-/// `av[i] * dense[c]` in ascending order of `a`'s stored columns, **only** at
-/// occupied columns — the exact sequence of f64 operations the merge-join
-/// [`dot`] performs on the overlap, so the result is bit-identical:
-/// `dot_scatter(a, …).to_bits() == dot(a, b).to_bits()`.
+/// is true exactly at `b`'s stored columns. Every stored entry of `a` adds
+/// `av[i] * dense[c]` in ascending column order, with the product's bits
+/// ANDed to zero where `occupied[c]` is false. The result is bit-identical
+/// to the merge-join: `dot_scatter(a, …).to_bits() == dot(a, b).to_bits()`.
 ///
-/// The occupancy mask is not an optimization, it is what makes the
-/// bit-identity argument a triviality instead of a case analysis: a naive
-/// `acc += v * dense[c]` over *all* of `a`'s columns adds `v * 0.0` terms at
-/// non-overlap columns, which is only benign when `v` is finite (for
-/// `v = ±inf` or NaN it poisons the accumulator with NaN) and only because a
-/// sum that starts at `+0.0` can never reach `-0.0`. With the mask the two
-/// paths execute the same f64 operations, full stop.
+/// * At an occupied column the mask is all ones, so the gather adds the
+///   product the merge-join adds, in the same order.
+/// * At any other column it adds `+0.0`. The accumulator starts at `+0.0`,
+///   and under round-to-nearest a sum that starts at `+0.0` never becomes
+///   `-0.0`; adding `+0.0` to any other value (±inf and NaN included)
+///   leaves it unchanged.
+/// * The AND also drops the `inf * 0.0 = NaN` product that `a` would make
+///   at a column `b` does not store, which is what the mask is for.
+///
+/// The mask is applied as a bit-select rather than a branch: sparse rows
+/// overlap at unpredictable columns, and a mispredicted branch per stored
+/// entry cost more than the multiply it skipped.
 #[inline]
 pub fn dot_scatter(a: RowView<'_>, dense: &[f64], occupied: &[bool]) -> f64 {
     let mut acc = 0.0;
     for (c, v) in a.iter() {
         let c = c as usize;
-        if occupied[c] {
-            acc += v * dense[c];
-        }
+        let keep = 0u64.wrapping_sub(u64::from(occupied[c]));
+        acc += f64::from_bits((v * dense[c]).to_bits() & keep);
     }
     acc
 }

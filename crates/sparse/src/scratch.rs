@@ -1,10 +1,12 @@
 //! Dense scratch buffers for repeated sparse dots against a pinned row.
 //!
 //! The distributed solver evaluates `⟨x_i, x_up⟩` and `⟨x_i, x_low⟩` for
-//! every active row `i`, every iteration. A merge-join dot pays
-//! `O(nnz_i + nnz_pivot)` per row; scattering the pivot once into a dense
-//! buffer and gathering at each row's stored columns pays `O(nnz_pivot)`
-//! once plus `O(nnz_i)` per row — the classic libsvm/BLAS-style trick.
+//! every active row `i`, every iteration, and prediction evaluates
+//! `⟨sv_j, x⟩` for every support vector `j` of a model. A merge-join dot
+//! pays `O(nnz_i + nnz_pivot)` per row; scattering the pivot once into a
+//! dense buffer and gathering at each row's stored columns pays
+//! `O(nnz_pivot)` once plus `O(nnz_i)` per row — the classic
+//! libsvm/BLAS-style trick.
 //!
 //! [`ScratchPad`] packages the trick with the hygiene the determinism suite
 //! depends on:
@@ -15,9 +17,10 @@
 //! * [`load`] debug-asserts the buffer is all-zero on entry, catching any
 //!   caller that forgot to clear — a stale value would silently corrupt
 //!   every subsequent dot;
-//! * an occupancy mask distinguishes "column stored by the pivot" from
-//!   "column zero", which is what makes [`ops::dot_scatter`] bit-identical
-//!   to the merge-join [`ops::dot`] (see its docs).
+//! * a one-byte occupancy mask distinguishes "column stored by the pivot"
+//!   from "column zero"; [`ops::dot_scatter`] bit-selects each product
+//!   through it, which keeps the gather bit-identical to the merge-join
+//!   [`ops::dot`] without a branch per stored entry (see its docs).
 //!
 //! The workspace lint (`cargo xtask lint`, scratch-hygiene rule) bans raw
 //! `ops::dot_scatter` calls outside this crate so every reused dense
@@ -37,6 +40,10 @@ use crate::rowview::RowView;
 /// [`dot`](Self::dot)s against it, then [`clear`](Self::clear) before the
 /// next `load`. Loading twice without clearing is a bug and panics in debug
 /// builds.
+///
+/// Memory is `dim` f64 values plus `dim` one-byte occupancy flags. The
+/// distributed solver's kernel-column fills gather through a per-rank pad
+/// (its default dot), and prediction gathers through a per-thread one.
 #[derive(Debug)]
 pub struct ScratchPad {
     dense: Vec<f64>,

@@ -2,11 +2,13 @@
 //! arithmetic identities, I/O and scaling. Deterministic (fixed seeds) so
 //! the suite runs offline and reproducibly.
 
+use std::collections::BTreeMap;
+
 use shrinksvm::datagen::rng::SmallRng;
 use shrinksvm::sparse::io::{read_libsvm_from, write_libsvm_to};
 use shrinksvm::sparse::ops;
 use shrinksvm::sparse::scale::Scaler;
-use shrinksvm::sparse::{CsrBuilder, CsrMatrix, Dataset};
+use shrinksvm::sparse::{CsrBuilder, CsrMatrix, Dataset, RowView, ScratchPad};
 
 /// A small random dense matrix: ~30% explicit zeros, bounded values.
 fn dense_matrix(rng: &mut SmallRng) -> (Vec<Vec<f64>>, usize) {
@@ -83,6 +85,109 @@ fn dot_is_symmetric_and_matches_dense() {
             "seed={seed}: {d1} vs {d3}"
         );
     }
+}
+
+/// Values whose products the gather must reproduce bit for bit: ±inf,
+/// NaN, signed zeros and subnormals (whose products underflow to ±0.0).
+const SPECIALS: [f64; 8] = [
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    0.0,
+    -0.0,
+    5e-324,
+    -1e-310,
+    2.5e-309,
+];
+
+/// A sparse row over `width` columns, mostly drawn from `hot` so rows
+/// overlap, with one value in six taken from [`SPECIALS`].
+fn special_row(rng: &mut SmallRng, width: u32, hot: &[u32], max_nnz: usize) -> BTreeMap<u32, f64> {
+    let want = rng.gen_range(0..max_nnz + 1);
+    let mut row = BTreeMap::new();
+    while row.len() < want {
+        let col = if rng.gen_bool(0.7) {
+            hot[rng.gen_range(0..hot.len())]
+        } else {
+            rng.gen_range(0..width)
+        };
+        let v = if rng.gen_bool(1.0 / 6.0) {
+            SPECIALS[rng.gen_range(0..SPECIALS.len())]
+        } else {
+            rng.gen_range(-50.0..50.0)
+        };
+        row.insert(col, v);
+    }
+    row
+}
+
+#[test]
+fn scratch_gather_is_bitwise_the_merge_join() {
+    let mut pad = ScratchPad::new(0);
+    let (mut special_on_overlap, mut special_off_overlap) = (0usize, 0usize);
+    let (mut finite, mut nonfinite) = (0usize, 0usize);
+    for (width, max_nnz, seed) in [(8u32, 8usize, 500u64), (123, 40, 501), (50_000, 120, 502)] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // the last column is hot so the pad's far edge is exercised
+        let mut hot: Vec<u32> = (0..width.min(160))
+            .map(|_| rng.gen_range(0..width))
+            .collect();
+        hot.push(width - 1);
+        let rows: Vec<BTreeMap<u32, f64>> = (0..48)
+            .map(|_| special_row(&mut rng, width, &hot, max_nnz))
+            .collect();
+        let parts: Vec<(Vec<u32>, Vec<f64>)> = rows
+            .iter()
+            .map(|r| (r.keys().copied().collect(), r.values().copied().collect()))
+            .collect();
+        let view = |k: usize| RowView {
+            indices: &parts[k].0,
+            values: &parts[k].1,
+        };
+        pad.ensure_dim(width as usize);
+        for p in 0..rows.len() {
+            let pivot = view(p);
+            pad.load(pivot);
+            for (a, row) in rows.iter().enumerate() {
+                let got = pad.dot(view(a));
+                let want = ops::dot(view(a), pivot);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "width={width} pivot={p} row={a}: gather {got:e} vs merge-join {want:e}"
+                );
+                for (c, v) in row {
+                    if !v.is_normal() {
+                        if rows[p].contains_key(c) {
+                            special_on_overlap += 1;
+                        } else {
+                            special_off_overlap += 1;
+                        }
+                    }
+                }
+                if want.is_finite() {
+                    finite += 1;
+                } else {
+                    nonfinite += 1;
+                }
+            }
+            pad.clear();
+            assert!(!pad.is_loaded());
+        }
+    }
+    // the sweep is only evidence if every case actually occurred
+    assert!(
+        special_on_overlap > 100,
+        "{special_on_overlap} specials on overlaps"
+    );
+    assert!(
+        special_off_overlap > 100,
+        "{special_off_overlap} specials off overlaps"
+    );
+    assert!(
+        finite > 100 && nonfinite > 100,
+        "{finite} finite vs {nonfinite} non-finite dots"
+    );
 }
 
 #[test]
