@@ -7,14 +7,17 @@
 //! awaited source, so every directed link is FIFO.
 //!
 //! The inboxes, every rank's [`WaitForGraph`] state, the panicked list and
-//! the diagnosis sit under one lock, and a rank is marked `Blocked` only
-//! while its awaited link is empty and its source unfinished: the post or
-//! the finish that lets it proceed marks it `Running` before waking it.
-//! "Every unfinished rank is blocked" therefore means exactly a deadlock,
-//! and the rank whose block or finish brings that state about renders the
-//! diagnosis at once. The happens-before ledger and conservation audit
-//! only engage when the universe was built with
-//! [`crate::Universe::validated`].
+//! the diagnosis sit under one lock. A receive that finds its link empty
+//! first yields its core up to [`YIELD_BUDGET`] times, re-checking the link
+//! and its source under the lock after each yield; it stays `Running`
+//! meanwhile, so a post that lands then needs no wake-up. Only then does it
+//! park: a rank is marked `Blocked` only while its awaited link is empty and
+//! its source unfinished, and the post or the finish that lets it proceed
+//! marks it `Running` before waking it. "Every unfinished rank is blocked"
+//! therefore means exactly a deadlock, and the rank whose park or finish
+//! brings that state about renders the diagnosis at once. The
+//! happens-before ledger and conservation audit only engage when the
+//! universe was built with [`crate::Universe::validated`].
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -24,6 +27,16 @@ use shrinksvm_analyze::{
     CollectiveLedger, FaultEvent, Fingerprint, RankState, ValidationReport, VectorClock, Violation,
     WaitEdge, WaitForGraph,
 };
+
+/// How many times a receive that finds its link empty yields its core
+/// before it parks. With more ranks than cores the sender is usually
+/// runnable and microseconds away, while a park costs a futex wait, a
+/// futex wake and a cross-core reschedule, 2–7 µs per message on a
+/// 2-vCPU host. There, shrinkbench's median `train_wall_s` on
+/// `higgs_small_p16_10g` read 0.74 s without yielding and 0.50 s at
+/// budgets 16, 64 and 256 alike (`higgs_fig3_p4`: 0.38 → 0.29–0.32 s);
+/// 64 sits inside that plateau.
+const YIELD_BUDGET: u32 = 64;
 
 /// One in-flight message.
 #[derive(Debug)]
@@ -84,6 +97,15 @@ impl State {
         let inbox = &mut self.inbox[rank];
         let pos = inbox.iter().position(|(from, _)| *from == src)?;
         inbox.remove(pos).map(|(_, msg)| msg)
+    }
+
+    /// What a receive on the `src → rank` link returns without waiting:
+    /// the link's oldest message, or the failure of a finished source.
+    fn ready(&mut self, rank: usize, src: usize) -> Option<Result<Message, Stuck>> {
+        if let Some(msg) = self.pop(rank, src) {
+            return Some(Ok(msg));
+        }
+        (self.graph.state(src) == RankState::Finished).then_some(Err(Stuck::SourceFinished))
     }
 
     /// The deadlock diagnosis, rendered the first time every unfinished
@@ -153,17 +175,25 @@ impl Fabric {
     }
 
     /// Take the next message on the `edge.src → edge.waiter` link,
-    /// blocking while the link is empty. Fails at once when the source
-    /// has finished or the block completes a deadlock, and after
-    /// `liveness` of host time without either.
+    /// waiting while the link is empty: first by yielding the core up to
+    /// [`YIELD_BUDGET`] times (the rank stays running, and the link and the
+    /// source are re-checked under the lock after each yield), then parked
+    /// on the rank's condvar. Fails at once when the source has finished
+    /// or the park completes a deadlock, and after `liveness` of parked
+    /// host time without either.
     pub(crate) fn take(&self, edge: WaitEdge, liveness: Duration) -> Result<Message, Stuck> {
         let (rank, src) = (edge.waiter, edge.src);
         let mut st = lock(&self.state);
-        if let Some(msg) = st.pop(rank, src) {
-            return Ok(msg);
+        for _ in 0..YIELD_BUDGET {
+            if let Some(done) = st.ready(rank, src) {
+                return done;
+            }
+            drop(st);
+            std::thread::yield_now();
+            st = lock(&self.state);
         }
-        if st.graph.state(src) == RankState::Finished {
-            return Err(Stuck::SourceFinished);
+        if let Some(done) = st.ready(rank, src) {
+            return done;
         }
         st.graph.set(rank, RankState::Blocked(edge));
         if let Some(report) = st.verdict() {
@@ -367,6 +397,83 @@ mod tests {
         assert_eq!([take(2), take(1), take(0)], [30, 10, 20]);
         assert_eq!([take(1), take(1), take(0), take(2)], [11, 12, 21, 31]);
         assert!(f.unreceived(0).is_empty());
+    }
+
+    /// A liveness no take below comes near: a wake-up that is never
+    /// delivered shows as a `TimedOut` in seconds rather than a hang.
+    const SHORT_LIVENESS: Duration = Duration::from_secs(5);
+
+    /// The test thread's lead, in yields of its own, over the receiver
+    /// entering its take: 0 to twice the budget, so a post or a finish
+    /// lands before, in and after the yield phase; swept three times to
+    /// cover scheduling jitter.
+    fn leads() -> impl Iterator<Item = u32> {
+        (0..3).flat_map(|_| 0..=2 * YIELD_BUDGET)
+    }
+
+    /// Rank 0 posts a ready message to rank 1 and then takes from rank 1
+    /// (running `then` on what it got) in a thread of its own. Returns
+    /// once rank 1 has the ready message: rank 0 is then entering its
+    /// take, so the caller's next `lead` yields land in its yield phase.
+    fn rank0_takes_after_ready(
+        f: &Arc<Fabric>,
+        then: fn(&Fabric, &Message),
+    ) -> std::thread::JoinHandle<Result<u64, Stuck>> {
+        let rank0 = {
+            let f = Arc::clone(f);
+            std::thread::spawn(move || {
+                f.post(0, 1, msg(0));
+                let got = f.take(edge(0, 1), SHORT_LIVENESS);
+                if let Ok(m) = &got {
+                    then(&f, m);
+                }
+                got.map(|m| m.tag)
+            })
+        };
+        let ready = f.take(edge(1, 0), SHORT_LIVENESS).expect("rank 0 is ready");
+        assert_eq!(ready.tag, 0);
+        rank0
+    }
+
+    #[test]
+    fn a_post_during_the_yield_phase_is_returned_by_that_take() {
+        for lead in leads() {
+            let f = Arc::new(Fabric::new(2, false));
+            let rank0 = rank0_takes_after_ready(&f, |f, m| f.post(0, 1, msg(m.tag + 1)));
+            for _ in 0..lead {
+                std::thread::yield_now();
+            }
+            f.post(1, 0, msg(10));
+            // A post rank 0 missed would leave both ranks parked: a
+            // deadlock verdict here, or a timeout on rank 0.
+            let echo = f.take(edge(1, 0), SHORT_LIVENESS).map(|m| m.tag);
+            let got = rank0.join().expect("rank 0 thread");
+            assert!(
+                matches!((&got, &echo), (Ok(10), Ok(11))),
+                "lead {lead}: rank 0 got {got:?}, rank 1 got {echo:?}"
+            );
+            assert!(lock(&f.state).diagnosed.is_none(), "lead {lead}");
+        }
+    }
+
+    #[test]
+    fn a_finish_during_the_yield_phase_fails_that_take() {
+        for lead in leads() {
+            let f = Arc::new(Fabric::new(2, false));
+            let rank0 = rank0_takes_after_ready(&f, |_, m| panic!("rank 1 posted {}", m.tag));
+            for _ in 0..lead {
+                std::thread::yield_now();
+            }
+            f.finish(1, false);
+            // A finish rank 0 missed would park it behind a finished
+            // source: a deadlock verdict, not `SourceFinished`.
+            let got = rank0.join().expect("rank 0 thread");
+            assert!(
+                matches!(got, Err(Stuck::SourceFinished)),
+                "lead {lead}: rank 0 got {got:?}"
+            );
+            assert!(lock(&f.state).diagnosed.is_none(), "lead {lead}");
+        }
     }
 
     #[test]

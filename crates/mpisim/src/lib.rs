@@ -38,9 +38,11 @@
 //! ## Correctness tooling
 //!
 //! A wait-for-graph deadlock verdict is always on. Delivery and blocking
-//! share one lock with every rank's wait-for state, so the receive that
-//! leaves no rank running (or a receive from a rank that already finished)
-//! fails at once, with a per-rank report naming ranks, sources and tags.
+//! share one lock with every rank's wait-for state. A receive that finds
+//! its link empty yields its core a bounded number of times, still
+//! running, before it parks; the park that leaves no rank running (or a
+//! receive from a rank that already finished) fails at once, with a
+//! per-rank report naming ranks, sources and tags.
 //! [`Universe::validated`] additionally enables per-message vector clocks
 //! (happens-before checks), LogGP clock-consistency checks, a collective
 //! lockstep ledger, user-tag discipline, and finalize-time message

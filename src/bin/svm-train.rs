@@ -17,11 +17,12 @@
 //!   -w- <float>  weight multiplier of C for the -1 class (default 1)
 //!   -H <name>    shrinking heuristic: Original (default), Single2..Single50pc,
 //!                Multi2..Multi50pc (Table II names); forces the distributed solver
-//!   -P <int>     distributed solver with this many simulated ranks
+//!   -P <int>     distributed solver with this many simulated ranks (at least 1)
 //!   -T <int>     multicore solver with this many threads
 //!   -q           quiet
 //! ```
 
+use std::num::NonZeroUsize;
 use std::process::exit;
 
 use shrinksvm::prelude::*;
@@ -40,7 +41,7 @@ struct Opts {
     w_pos: f64,
     w_neg: f64,
     heuristic: Option<String>,
-    processes: Option<usize>,
+    processes: Option<NonZeroUsize>,
     threads: Option<usize>,
     quiet: bool,
     training_file: String,
@@ -175,7 +176,7 @@ fn main() {
         if let Some(p) = policy {
             params = params.with_shrink(p);
         }
-        let procs = o.processes.unwrap_or(1);
+        let procs = o.processes.map_or(1, NonZeroUsize::get);
         match DistSolver::new(&ds, params).with_processes(procs).train() {
             Ok(run) => (run.model, run.iterations, run.converged),
             Err(e) => {

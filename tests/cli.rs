@@ -201,3 +201,19 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn zero_processes_print_usage() {
+    let dir = workdir("zero_processes_print_usage");
+    let train = dir.join("t4.libsvm");
+    write_dataset(&train, 50, 7);
+    let out = run(
+        env!("CARGO_BIN_EXE_svm-train"),
+        &["-P", "0", train.to_str().unwrap()],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: svm-train "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
