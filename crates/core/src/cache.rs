@@ -20,15 +20,34 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Intrusive doubly-linked-list node over a slab, giving O(1) LRU updates.
+/// `data` is `None` between a missed lookup and its fill.
 #[derive(Debug)]
 struct Node {
     key: usize,
     prev: usize,
     next: usize,
-    data: Arc<Vec<f64>>,
+    data: Option<Arc<Vec<f64>>>,
 }
 
 const NIL: usize = usize::MAX;
+
+/// What [`KernelCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The row was cached.
+    Hit(Arc<Vec<f64>>),
+    /// The row must be computed and handed to [`KernelCache::fill`].
+    Miss(Ticket),
+}
+
+/// A missed row's place in the cache, redeemed by [`KernelCache::fill`].
+#[derive(Debug)]
+#[must_use = "a missed row is stored only when it is filled"]
+pub struct Ticket {
+    key: usize,
+    /// Slab slot reserved for the row; `NIL` when the cache stores nothing.
+    node: usize,
+}
 
 /// Hit/miss/insertion/eviction counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,6 +75,13 @@ impl CacheStats {
 }
 
 /// An LRU cache of full kernel rows.
+///
+/// Fetch a row with [`lookup`](Self::lookup), and on a miss hand the
+/// computed row to [`fill`](Self::fill);
+/// [`get_or_compute`](Self::get_or_compute) does both for one row. The
+/// distributed sweep looks up its up and low pivots, in that order, before
+/// it fills either, so two missed rows can share one gather pass while the
+/// counters and the LRU order stay those of two fetches in a row.
 #[derive(Debug)]
 #[allow(clippy::disallowed_types)]
 pub struct KernelCache {
@@ -118,29 +144,61 @@ impl KernelCache {
         self.stats
     }
 
-    /// Fetch row `key`, computing it with `compute` on a miss. Never stores
-    /// anything when the capacity is zero (every call recomputes).
+    /// Fetch row `key`, computing it with `compute` on a miss: a
+    /// [`lookup`](Self::lookup), then a [`fill`](Self::fill) when it
+    /// missed. Never stores anything when the capacity is zero (every call
+    /// recomputes).
     pub fn get_or_compute<F>(&mut self, key: usize, compute: F) -> Arc<Vec<f64>>
     where
         F: FnOnce() -> Vec<f64>,
     {
+        match self.lookup(key) {
+            Lookup::Hit(row) => row,
+            Lookup::Miss(ticket) => self.fill(ticket, compute()),
+        }
+    }
+
+    /// Look row `key` up. A hit counts and moves the row to the front. A
+    /// miss counts and, unless the capacity is zero, evicts the LRU row
+    /// when full and inserts `key` at the front at once; the values follow
+    /// in [`fill`](Self::fill). A key looked up again while it still waits
+    /// for its fill moves to the front and misses again, for the same slot.
+    pub fn lookup(&mut self, key: usize) -> Lookup {
         if let Some(&idx) = self.map.get(&key) {
-            self.stats.hits += 1;
             self.touch(idx);
-            return Arc::clone(&self.nodes[idx].data);
+            return match &self.nodes[idx].data {
+                Some(row) => {
+                    self.stats.hits += 1;
+                    Lookup::Hit(Arc::clone(row))
+                }
+                None => {
+                    self.stats.misses += 1;
+                    Lookup::Miss(Ticket { key, node: idx })
+                }
+            };
         }
         self.stats.misses += 1;
-        let data = Arc::new(compute());
         if self.capacity_rows == 0 {
-            return data;
+            return Lookup::Miss(Ticket { key, node: NIL });
         }
         if self.map.len() >= self.capacity_rows {
             self.evict_lru();
         }
-        let idx = self.alloc_node(key, Arc::clone(&data));
+        let idx = self.alloc_node(key, None);
         self.push_front(idx);
         self.map.insert(key, idx);
         self.stats.insertions += 1;
+        Lookup::Miss(Ticket { key, node: idx })
+    }
+
+    /// Store the computed row of a missed lookup and return it. A row whose
+    /// slot was evicted (or cleared) since its lookup is returned without
+    /// being stored, as a compute-then-insert would have been evicted.
+    pub fn fill(&mut self, ticket: Ticket, row: Vec<f64>) -> Arc<Vec<f64>> {
+        let data = Arc::new(row);
+        if self.map.get(&ticket.key) == Some(&ticket.node) {
+            self.nodes[ticket.node].data = Some(Arc::clone(&data));
+        }
         data
     }
 
@@ -161,9 +219,12 @@ impl KernelCache {
         let mut idxs: Vec<usize> = self.map.values().copied().collect();
         idxs.sort_unstable();
         for idx in idxs {
-            let old = &self.nodes[idx].data;
-            let new: Vec<f64> = keep.iter().map(|&p| old[p]).collect();
-            self.nodes[idx].data = Arc::new(new);
+            // a row still waiting for its fill arrives at the new length
+            let node = &mut self.nodes[idx];
+            if let Some(old) = &node.data {
+                let new: Vec<f64> = keep.iter().map(|&p| old[p]).collect();
+                node.data = Some(Arc::new(new));
+            }
         }
     }
 
@@ -178,7 +239,7 @@ impl KernelCache {
         self.tail = NIL;
     }
 
-    fn alloc_node(&mut self, key: usize, data: Arc<Vec<f64>>) -> usize {
+    fn alloc_node(&mut self, key: usize, data: Option<Arc<Vec<f64>>>) -> usize {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = Node {
                 key,
@@ -238,7 +299,7 @@ impl KernelCache {
         self.unlink(victim);
         let key = self.nodes[victim].key;
         self.map.remove(&key);
-        self.nodes[victim].data = Arc::new(Vec::new());
+        self.nodes[victim].data = None;
         self.free.push(victim);
         self.stats.evictions += 1;
     }
@@ -398,6 +459,160 @@ mod tests {
         let mut c = KernelCache::with_capacity_rows(2);
         c.resize_rows(&[0, 1]);
         assert!(c.is_empty());
+    }
+
+    /// `get_or_compute` as it stood before the lookup/fill split: compute,
+    /// then evict and insert. The reference the split must reproduce.
+    fn reference_get_or_compute(
+        c: &mut KernelCache,
+        key: usize,
+        compute: impl FnOnce() -> Vec<f64>,
+    ) -> Arc<Vec<f64>> {
+        if let Some(&idx) = c.map.get(&key) {
+            c.stats.hits += 1;
+            c.touch(idx);
+            return Arc::clone(c.nodes[idx].data.as_ref().unwrap());
+        }
+        c.stats.misses += 1;
+        let data = Arc::new(compute());
+        if c.capacity_rows == 0 {
+            return data;
+        }
+        if c.map.len() >= c.capacity_rows {
+            c.evict_lru();
+        }
+        let idx = c.alloc_node(key, Some(Arc::clone(&data)));
+        c.push_front(idx);
+        c.map.insert(key, idx);
+        c.stats.insertions += 1;
+        data
+    }
+
+    /// The sweep's order: look every wanted key up, then fill the misses.
+    fn lookup_then_fill(
+        c: &mut KernelCache,
+        keys: &[usize],
+        compute: impl Fn(usize) -> Vec<f64>,
+    ) -> Vec<Arc<Vec<f64>>> {
+        let found: Vec<(usize, Lookup)> = keys.iter().map(|&k| (k, c.lookup(k))).collect();
+        found
+            .into_iter()
+            .map(|(k, l)| match l {
+                Lookup::Hit(row) => row,
+                Lookup::Miss(ticket) => c.fill(ticket, compute(k)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lookup_then_fill_matches_get_or_compute() {
+        for cap in [0usize, 1, 2, 7] {
+            for seed in 1..=4u64 {
+                let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut next = move |n: u64| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % n
+                };
+                let (mut split, mut reference) = (
+                    KernelCache::with_capacity_rows(cap),
+                    KernelCache::with_capacity_rows(cap),
+                );
+                // original positions of the current span; a row's values
+                // are a function of its key and these, so a compacted row
+                // equals a freshly computed one
+                let mut span: Vec<usize> = (0..6).collect();
+                for step in 0..400 {
+                    let compute = |k: usize| -> Vec<f64> {
+                        span.iter().map(|&p| (k * 1000 + p) as f64).collect()
+                    };
+                    let up = next(10) as usize;
+                    let low = (up + 1 + next(9) as usize) % 10;
+                    // either side may be skipped, as a zero coefficient does
+                    let keys: Vec<usize> = [(up, next(5) != 0), (low, next(5) != 0)]
+                        .into_iter()
+                        .filter_map(|(k, wanted)| wanted.then_some(k))
+                        .collect();
+                    let got = lookup_then_fill(&mut split, &keys, compute);
+                    let want: Vec<Arc<Vec<f64>>> = keys
+                        .iter()
+                        .map(|&k| reference_get_or_compute(&mut reference, k, || compute(k)))
+                        .collect();
+                    let ctx = format!("cap {cap} seed {seed} step {step} keys {keys:?}");
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(split.stats(), reference.stats(), "{ctx}");
+                    assert_eq!(split.len(), reference.len(), "{ctx}");
+                    match next(40) {
+                        0 if span.len() > 1 => {
+                            // a shrink pass drops one position
+                            let drop = next(span.len() as u64) as usize;
+                            let keep: Vec<usize> = (0..span.len()).filter(|&p| p != drop).collect();
+                            split.resize_rows(&keep);
+                            reference.resize_rows(&keep);
+                            span.remove(drop);
+                        }
+                        1 => {
+                            // a reconstruction clears and restores the span
+                            split.clear();
+                            reference.clear();
+                            span = (0..6).collect();
+                        }
+                        _ => {}
+                    }
+                }
+                let s = split.stats();
+                if cap > 0 {
+                    assert!(
+                        s.hits > 0 && s.evictions > 0,
+                        "cap {cap} seed {seed}: {s:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn up_miss_evicts_the_row_low_then_misses() {
+        let row = |k: usize| vec![k as f64; 3];
+        // full at capacity 2, with 1 least recently used
+        let mut c = KernelCache::with_capacity_rows(2);
+        c.get_or_compute(1, || row(1));
+        c.get_or_compute(2, || row(2));
+        let Lookup::Miss(up) = c.lookup(3) else {
+            panic!("3 was never cached")
+        };
+        assert_eq!(c.stats().evictions, 1, "the up miss evicts 1 at once");
+        let Lookup::Miss(low) = c.lookup(1) else {
+            panic!("1 was evicted by the up lookup")
+        };
+        assert_eq!(*c.fill(up, row(3)), row(3));
+        assert_eq!(*c.fill(low, row(1)), row(1));
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 4,
+                insertions: 4,
+                evictions: 2
+            }
+        );
+        // 2 was least recently used when low missed, so it went; 3 and 1 stay
+        assert!(matches!(c.lookup(3), Lookup::Hit(r) if *r == row(3)));
+        assert!(matches!(c.lookup(1), Lookup::Hit(r) if *r == row(1)));
+        // at capacity 1 the low lookup evicts up before up is filled: up's
+        // row is returned but not stored, as compute-then-insert would
+        // have had it evicted by low's insert
+        let mut c = KernelCache::with_capacity_rows(1);
+        c.get_or_compute(9, || row(9));
+        let (Lookup::Miss(up), Lookup::Miss(low)) = (c.lookup(3), c.lookup(1)) else {
+            panic!("both miss")
+        };
+        assert_eq!(*c.fill(up, row(3)), row(3));
+        assert_eq!(*c.fill(low, row(1)), row(1));
+        assert_eq!(c.len(), 1);
+        assert!(matches!(c.lookup(1), Lookup::Hit(_)));
+        assert!(matches!(c.lookup(3), Lookup::Miss(_)));
     }
 
     #[test]

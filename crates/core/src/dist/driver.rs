@@ -17,6 +17,7 @@ use crate::dist::checkpoint::{
 use crate::dist::recovery::{LadderAction, RecoveryLadder, RecoveryPolicy, RecoverySummary};
 use crate::dist::solver::{train_rank, DistConfig, DotKind};
 use crate::error::CoreError;
+use crate::kernel::check_finite_rows;
 use crate::model::SvmModel;
 use crate::params::SvmParams;
 use crate::perfmodel::ComputeCharge;
@@ -304,12 +305,16 @@ impl<'a> DistSolver<'a> {
     /// fired crash rule, restores a verified consistent checkpoint and
     /// retrains. Repeated no-progress crashes escalate through the
     /// [`RecoveryPolicy`] rungs: older generations, fewer ranks, deeper
-    /// skips at the floor, then a named [`CoreError::RankLost`].
+    /// skips at the floor, then a named [`CoreError::RankLost`]. A
+    /// training row whose squared norm is not finite is a
+    /// [`CoreError::NonFiniteRow`], found before any rank starts.
     pub fn train(self) -> Result<DistRunResult, CoreError> {
         #[allow(clippy::disallowed_methods)]
         // allow-wall-clock: host-side metric (reported wall_time), not simulated time
         let start = Instant::now();
         let ds = self.ds;
+        // Once, before any rank starts, so every rank agrees on the verdict.
+        check_finite_rows(&ds.x)?;
         let mut faults = self.faults;
         let policy = self.recovery.unwrap_or_else(|| match &self.checkpoint {
             Some(pol) => RecoveryPolicy::legacy(pol),
@@ -681,6 +686,54 @@ mod tests {
         assert!(run.timeline.is_empty());
         // metrics are collected unconditionally — they cost a few counters
         assert!(run.metrics.gauge("final_gap").is_some());
+    }
+
+    #[test]
+    fn rows_with_non_finite_norms_are_rejected_before_any_rank_starts() {
+        // the libsvm rows `+1 1:inf 3:1`, `-1 2:0.25 3:-1`, `+1 1:1 2:nan`,
+        // `-1 2:1 3:-0.5`, then the same with `+1 1:1e308 3:1e308` first
+        let rows = |first: (&[u32], &[f64])| {
+            let mut b = shrinksvm_sparse::CsrBuilder::new(3);
+            for (idx, val) in [
+                first,
+                (&[1, 2], &[0.25, -1.0]),
+                (&[0, 1], &[1.0, f64::NAN]),
+                (&[1, 2], &[1.0, -0.5]),
+            ] {
+                b.push_row(idx, val).unwrap();
+            }
+            Dataset::new(b.finish(), vec![1.0, -1.0, 1.0, -1.0]).unwrap()
+        };
+        for p in [1, 2, 4] {
+            let ds = rows((&[0, 2], &[f64::INFINITY, 1.0]));
+            let err = DistSolver::new(&ds, quick_params())
+                .with_processes(p)
+                .train();
+            assert!(
+                matches!(
+                    err,
+                    Err(CoreError::NonFiniteRow {
+                        row: 0,
+                        column: Some(0)
+                    })
+                ),
+                "p = {p}: {err:?}"
+            );
+            let ds = rows((&[0, 2], &[1e308, 1e308]));
+            let err = DistSolver::new(&ds, quick_params().with_shrink(ShrinkPolicy::best()))
+                .with_processes(p)
+                .train();
+            assert!(
+                matches!(
+                    err,
+                    Err(CoreError::NonFiniteRow {
+                        row: 0,
+                        column: None
+                    })
+                ),
+                "p = {p}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -29,10 +29,10 @@ use std::sync::{Arc, OnceLock};
 
 use shrinksvm_mpisim::{Comm, MaxLoc, MinLoc};
 use shrinksvm_obs::MetricsRegistry;
-use shrinksvm_sparse::{ops, Dataset, RowView, ScratchPad};
+use shrinksvm_sparse::{ops, Dataset, PairPad, RowView, ScratchPad};
 use shrinksvm_threads::schedule::static_block;
 
-use crate::cache::KernelCache;
+use crate::cache::{KernelCache, Lookup};
 use crate::dist::checkpoint::{Checkpoint, CheckpointCtx, RankSnapshot};
 use crate::dist::convergence::ConvergenceTracker;
 use crate::dist::msg::PairSample;
@@ -89,12 +89,56 @@ pub fn metrics_epoch() -> u64 {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DotKind {
     /// Two-pointer merge over both rows' column lists (the pre-optimization
-    /// path, kept for A/B benchmarking).
+    /// path, kept for A/B benchmarking and as the identity reference).
     MergeJoin,
     /// Scatter the pivot into a dense [`ScratchPad`] once, then index-gather
-    /// each active row against it.
+    /// each active row against it; two pivots filled together share one
+    /// [`PairPad`] pass.
     #[default]
     Scatter,
+}
+
+/// One kernel column for [`RankState::fill_pivot_row`]:
+/// `out[k] = K(x_{rows[k]}, pivot)`.
+pub(crate) struct Column<'p, 'o> {
+    pub(crate) pivot: RowView<'p>,
+    pub(crate) pivot_sq: f64,
+    pub(crate) out: &'o mut [f64],
+}
+
+/// A pivot whose kernel row over the active span the sweep needs.
+struct PivotRequest<'r> {
+    gidx: u64,
+    row: RowView<'r>,
+    sq: f64,
+}
+
+impl<'r> PivotRequest<'r> {
+    /// The pivot's row, requested when its coefficient is nonzero.
+    fn when_nonzero(coef: f64, gidx: u64, sample: &'r PairSample) -> Option<Self> {
+        (coef != 0.0).then(|| PivotRequest {
+            gidx,
+            row: sample.row(),
+            sq: sample.sq_norm,
+        })
+    }
+
+    fn column<'o>(&self, out: &'o mut [f64]) -> Column<'r, 'o> {
+        Column {
+            pivot: self.row,
+            pivot_sq: self.sq,
+            out,
+        }
+    }
+}
+
+/// One acquired pivot row and what acquiring it charged:
+/// see [`RankState::acquire_pivot_rows`].
+struct PivotRow {
+    row: Arc<Vec<f64>>,
+    cost: f64,
+    alt: f64,
+    evals: u64,
 }
 
 /// Distributed-run configuration.
@@ -187,8 +231,11 @@ pub(crate) struct RankState<'a> {
     lanes: usize,
     /// Dot-product implementation for pivot-row evaluation.
     dots: DotKind,
-    /// Dense scratch the pivot row is scattered into (`DotKind::Scatter`).
+    /// Dense scratch a lone pivot row is scattered into
+    /// (`DotKind::Scatter`).
     pad: ScratchPad,
+    /// Two-row scratch for fills of two columns at once.
+    pair: PairPad,
     /// LRU cache of pivot kernel rows over the active span, keyed by
     /// global pivot index. `None` when `params.cache_bytes == 0`.
     row_cache: Option<KernelCache>,
@@ -252,6 +299,7 @@ impl<'a> RankState<'a> {
             lanes: cfg.threads.max(1),
             dots: cfg.dots,
             pad: ScratchPad::new(ds.x.ncols()),
+            pair: PairPad::new(ds.x.ncols()),
             row_cache: cache_on
                 .then(|| KernelCache::with_byte_budget(cfg.params.cache_bytes, ln.max(1))),
             pair_cache: cache_on.then(|| KernelCache::with_capacity_rows(PAIR_MEMO_ROWS)),
@@ -483,111 +531,180 @@ impl<'a> RankState<'a> {
         comm.allreduce_minloc_maxloc((up, &up_bytes), (low, &low_bytes))
     }
 
-    /// Fill `out[k] = K(x_{rows[k]}, pivot)` over the local rows `rows` —
-    /// the one kernel-column routine: the active list spans the sweep's
-    /// pivot rows, ω spans Algorithm 3's SV columns. Under
-    /// [`DotKind::Scatter`] the pivot is loaded into the [`ScratchPad`]
-    /// once, every row gathers against it, and the pad is cleared.
+    /// Fill kernel column `a`, and `b` when given, over the local rows
+    /// `rows` — the one kernel-column routine: the active list spans the
+    /// sweep's pivot rows, ω spans Algorithm 3's SV columns. Under
+    /// [`DotKind::Scatter`] a lone pivot is loaded into the [`ScratchPad`],
+    /// two pivots into the two slots of the [`PairPad`]; every row gathers
+    /// once against the loaded pivots, and the pads are cleared. Under
+    /// [`DotKind::MergeJoin`] each column merge-joins every row with its
+    /// pivot.
     ///
     /// `rows` splits into `lanes` static lanes, run inline in lane order.
-    /// Returns `(sim_cost, evals)`: the slowest lane's
-    /// [`ComputeCharge::lane`] charge, plus the
-    /// [`ComputeCharge::scatter_setup`] of the pivot under Scatter.
+    /// Returns each column's charge, `[a, b]` (`b` is 0.0 when absent):
+    /// the column's slowest lane under [`ComputeCharge::lane`], plus the
+    /// [`ComputeCharge::scatter_setup`] of its pivot under Scatter — what
+    /// the column costs when it is filled alone. Each column also counts
+    /// `rows.len()` kernel evaluations.
     ///
-    /// Kernel values are bit-identical between the two dot
-    /// implementations: the scatter gather performs the merge-join's exact
-    /// f64 sequence ([`ops::dot_scatter`]), and both feed
+    /// Kernel values are bit-identical across the dot implementations and
+    /// across one- and two-column fills: every gather performs the
+    /// merge-join's exact f64 sequence ([`ops::dot_scatter`],
+    /// [`ops::dot_scatter_pair`]), and all feed
     /// [`KernelKind::eval_from_dot`].
     pub(crate) fn fill_pivot_row(
         &mut self,
         rows: &[u32],
-        pivot: RowView<'_>,
-        pivot_sq: f64,
-        out: &mut [f64],
-    ) -> (f64, u64) {
+        a: Column<'_, '_>,
+        mut b: Option<Column<'_, '_>>,
+    ) -> [f64; 2] {
         let m = rows.len();
-        debug_assert_eq!(m, out.len());
+        debug_assert_eq!(m, a.out.len());
+        debug_assert!(b.as_ref().is_none_or(|b| b.out.len() == m));
         if m == 0 {
-            return (0.0, 0);
+            return [0.0; 2];
         }
         let scatter = self.dots == DotKind::Scatter;
         if scatter {
-            self.pad.load(pivot);
+            match &b {
+                None => self.pad.load(a.pivot),
+                Some(b) => {
+                    self.pair.load(0, a.pivot);
+                    self.pair.load(1, b.pivot);
+                }
+            }
         }
-        // the merge-join walks the pivot's entries once per row
-        let pivot_walk = if scatter { 0 } else { pivot.nnz() as u64 };
-        let (ds, lo, kind, sq, pad) = (self.ds, self.lo, self.kind, &self.sq, &self.pad);
+        // the merge-join walks a pivot's entries once per row
+        let walk = |c: &Column<'_, '_>| if scatter { 0 } else { c.pivot.nnz() as u64 };
+        let (walk_a, walk_b) = (walk(&a), b.as_ref().map_or(0, walk));
+        let (ds, lo, kind, sq) = (self.ds, self.lo, self.kind, &self.sq);
+        let (pad, pair) = (&self.pad, &self.pair);
         let t = self.lanes.min(m);
-        let mut slowest = 0.0f64;
+        let mut slowest = [0.0f64; 2];
         for w in 0..t {
-            let (a, b) = static_block(0, m, w, t);
-            let mut madds = 0u64;
-            for k in a..b {
+            let (start, end) = static_block(0, m, w, t);
+            let mut nnz = 0u64;
+            for k in start..end {
                 let li = rows[k] as usize;
                 let row = ds.x.row(lo + li);
-                madds += row.nnz() as u64 + pivot_walk;
-                let dot = if scatter {
-                    pad.dot(row)
-                } else {
-                    ops::dot(row, pivot)
-                };
-                out[k] = kind.eval_from_dot(dot, sq[li], pivot_sq);
+                nnz += row.nnz() as u64;
+                match &mut b {
+                    None => {
+                        let dot = if scatter {
+                            pad.dot(row)
+                        } else {
+                            ops::dot(row, a.pivot)
+                        };
+                        a.out[k] = kind.eval_from_dot(dot, sq[li], a.pivot_sq);
+                    }
+                    Some(b) => {
+                        let [da, db] = if scatter {
+                            pair.dots(row)
+                        } else {
+                            [ops::dot(row, a.pivot), ops::dot(row, b.pivot)]
+                        };
+                        a.out[k] = kind.eval_from_dot(da, sq[li], a.pivot_sq);
+                        b.out[k] = kind.eval_from_dot(db, sq[li], b.pivot_sq);
+                    }
+                }
             }
-            slowest = slowest.max(self.charge.lane(madds as f64, (b - a) as f64));
+            let n = (end - start) as u64;
+            for (slow, walk) in slowest.iter_mut().zip([walk_a, walk_b]) {
+                *slow = slow.max(self.charge.lane((nnz + n * walk) as f64, n as f64));
+            }
         }
-        let setup = if scatter {
-            self.pad.clear();
-            self.charge.scatter_setup(pivot.nnz() as f64)
-        } else {
-            0.0
+        let setup = |c: &Column<'_, '_>| {
+            if scatter {
+                self.charge.scatter_setup(c.pivot.nnz() as f64)
+            } else {
+                0.0
+            }
         };
-        (setup + slowest, m as u64)
+        let costs = [
+            setup(&a) + slowest[0],
+            b.as_ref().map_or(0.0, |b| setup(b) + slowest[1]),
+        ];
+        if scatter {
+            if b.is_some() {
+                self.pair.clear(0);
+                self.pair.clear(1);
+            } else {
+                self.pad.clear();
+            }
+        }
+        costs
     }
 
-    /// Obtain `K(active, pivot)` over the active span — served from the row
-    /// cache when enabled, else freshly computed. Returns
-    /// `(row, sim_cost, alt_cost, evals)`:
+    /// Obtain `K(active, up)` and `K(active, low)` over the active span for
+    /// the pivots requested — served from the row cache when enabled, else
+    /// freshly computed. With the cache on, up is looked up before low, and
+    /// both lookups settle before either row is filled
+    /// ([`KernelCache::lookup`]), so the LRU trace is the one two fetches in
+    /// a row would leave. Two rows to fill share one
+    /// [`Self::fill_pivot_row`] pass. Each row's charge:
     ///
-    /// * miss / cache off: the fill's charge ([`Self::fill_pivot_row`]);
+    /// * miss / cache off: its column's fill charge, as if filled alone;
     /// * hit: one [`ComputeCharge::cache_lookup`] plus the dense fma sweep
     ///   (`max_chunk · fma_per_elem`) — the λ the cache saved is exactly
     ///   what is *not* charged, so simulated time reflects the reuse.
     ///
-    /// `alt_cost` is always the hit-path cost: what this acquisition would
+    /// `alt` is always the hit-path cost: what this acquisition would
     /// charge under an infinitely large, fully warm kernel cache. It feeds
     /// the PerfDoctor `infinite_cache` what-if projection and never touches
     /// the clock.
-    fn acquire_pivot_row(
+    fn acquire_pivot_rows(
         &mut self,
-        gidx: u64,
-        pivot: RowView<'_>,
-        pivot_sq: f64,
-    ) -> (Arc<Vec<f64>>, f64, f64, u64) {
+        pivots: [Option<PivotRequest<'_>>; 2],
+    ) -> [Option<PivotRow>; 2] {
         let m = self.active_list.len();
-        // Lent out for the fill, which borrows the rank mutably for its
-        // scratch pad; restored below.
-        let rows = std::mem::take(&mut self.active_list);
-        let mut cache = self.row_cache.take();
-        let mut filled: Option<(f64, u64)> = None;
-        let row = if let Some(c) = &mut cache {
-            c.get_or_compute(gidx as usize, || {
-                let mut v = vec![0.0; m];
-                filled = Some(self.fill_pivot_row(&rows, pivot, pivot_sq, &mut v));
-                v
-            })
-        } else {
-            let mut v = vec![0.0; m];
-            filled = Some(self.fill_pivot_row(&rows, pivot, pivot_sq, &mut v));
-            Arc::new(v)
-        };
-        self.row_cache = cache;
-        self.active_list = rows;
         let max_chunk = m.div_ceil(self.lanes.min(m).max(1));
         let hit_cost = self.charge.cache_lookup + max_chunk as f64 * self.charge.fma_per_elem;
-        match filled {
-            Some((cost, evals)) => (row, cost, hit_cost, evals),
-            None => (row, hit_cost, hit_cost, 0),
+        let mut acquired: [Option<PivotRow>; 2] = [None, None];
+        // Requested rows to fill, in side order, each with its cache
+        // ticket (`None` with the cache off).
+        let mut misses = Vec::with_capacity(2);
+        let mut cache = self.row_cache.take();
+        for (side, p) in pivots.iter().enumerate() {
+            let Some(p) = p else { continue };
+            match cache.as_mut().map(|c| c.lookup(p.gidx as usize)) {
+                Some(Lookup::Hit(row)) => {
+                    acquired[side] = Some(PivotRow {
+                        row,
+                        cost: hit_cost,
+                        alt: hit_cost,
+                        evals: 0,
+                    });
+                }
+                Some(Lookup::Miss(ticket)) => misses.push((side, p, Some(ticket))),
+                None => misses.push((side, p, None)),
+            }
         }
+        let mut filled: Vec<Vec<f64>> = misses.iter().map(|_| vec![0.0; m]).collect();
+        // Lent out for the fill, which borrows the rank mutably for its
+        // scratch pads; restored below.
+        let rows = std::mem::take(&mut self.active_list);
+        let costs = match (&misses[..], &mut filled[..]) {
+            ([(_, a, _), (_, b, _)], [ka, kb]) => {
+                self.fill_pivot_row(&rows, a.column(ka), Some(b.column(kb)))
+            }
+            ([(_, a, _)], [ka]) => self.fill_pivot_row(&rows, a.column(ka), None),
+            _ => [0.0; 2],
+        };
+        self.active_list = rows;
+        for (((side, _, ticket), values), cost) in misses.into_iter().zip(filled).zip(costs) {
+            let row = match (ticket, cache.as_mut()) {
+                (Some(t), Some(c)) => c.fill(t, values),
+                _ => Arc::new(values),
+            };
+            acquired[side] = Some(PivotRow {
+                row,
+                cost,
+                alt: hit_cost,
+                evals: m as u64,
+            });
+        }
+        self.row_cache = cache;
+        acquired
     }
 
     /// `k_uu, k_ll, k_ul` for the selected pair — memoized when caching is
@@ -783,25 +900,17 @@ impl<'a> RankState<'a> {
             let mut sweep_cost = triple_cost;
             let mut sweep_alt = triple_alt;
             let mut evals = triple_evals;
-            let row_up = if cu != 0.0 {
-                let (r, cost, alt, ev) = self.acquire_pivot_row(up.index, sup.row(), sup.sq_norm);
-                sweep_cost += cost;
-                sweep_alt += alt;
-                evals += ev;
-                Some(r)
-            } else {
-                None
-            };
-            let row_low = if cl != 0.0 {
-                let (r, cost, alt, ev) =
-                    self.acquire_pivot_row(low.index, slow.row(), slow.sq_norm);
-                sweep_cost += cost;
-                sweep_alt += alt;
-                evals += ev;
-                Some(r)
-            } else {
-                None
-            };
+            let [row_up, row_low] = self.acquire_pivot_rows([
+                PivotRequest::when_nonzero(cu, up.index, &sup),
+                PivotRequest::when_nonzero(cl, low.index, &slow),
+            ]);
+            // up's charge first, then low's, as the rows were once filled
+            for r in [&row_up, &row_low].into_iter().flatten() {
+                sweep_cost += r.cost;
+                sweep_alt += r.alt;
+                evals += r.evals;
+            }
+            let (row_up, row_low) = (row_up.map(|r| r.row), row_low.map(|r| r.row));
 
             let mut survivors = 0u64;
             let mut keep: Vec<usize> = Vec::new();

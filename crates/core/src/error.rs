@@ -7,6 +7,16 @@ use std::fmt;
 pub enum CoreError {
     /// Training data had no samples or only one class.
     DegenerateProblem(String),
+    /// A training row's squared norm is not finite, so every kernel value
+    /// that touches the row would be NaN. Both solvers check before they
+    /// train; prediction takes any row.
+    NonFiniteRow {
+        /// The row's index in the training set (0-based).
+        row: usize,
+        /// The row's first column (0-based) holding ±inf or NaN; `None`
+        /// when every value is finite and the squared norm overflows.
+        column: Option<u32>,
+    },
     /// Invalid hyper-parameters.
     BadParams(String),
     /// The optimizer made no progress for an implausible number of
@@ -37,6 +47,17 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::DegenerateProblem(m) => write!(f, "degenerate problem: {m}"),
+            CoreError::NonFiniteRow {
+                row,
+                column: Some(c),
+            } => write!(
+                f,
+                "training row {row} (0-based) holds a non-finite value in column {c} (0-based)"
+            ),
+            CoreError::NonFiniteRow { row, column: None } => write!(
+                f,
+                "training row {row} (0-based) has a squared norm that overflows f64"
+            ),
             CoreError::BadParams(m) => write!(f, "bad parameters: {m}"),
             CoreError::Stalled { at_iteration } => {
                 write!(f, "optimizer stalled at iteration {at_iteration}")
@@ -85,5 +106,15 @@ mod tests {
         assert!(e.to_string().contains("42"));
         let e = CoreError::BadParams("C must be positive".into());
         assert!(e.to_string().contains("C must be positive"));
+        let e = CoreError::NonFiniteRow {
+            row: 3,
+            column: Some(7),
+        };
+        assert!(e.to_string().contains("row 3 ") && e.to_string().contains("column 7 "));
+        let e = CoreError::NonFiniteRow {
+            row: 5,
+            column: None,
+        };
+        assert!(e.to_string().contains("row 5 ") && e.to_string().contains("overflows"));
     }
 }

@@ -181,6 +181,26 @@ impl<'a> KernelEval<'a> {
     }
 }
 
+/// Check that every row of a training matrix has a finite squared norm.
+///
+/// The kernels evaluate `‖a − b‖²` as `‖a‖² + ‖b‖² − 2⟨a,b⟩` and the
+/// diagonal as `⟨a,a⟩`, so an infinite or NaN norm makes every kernel value
+/// that touches the row NaN, and training would end in a model with a NaN
+/// bias. A row fails when it holds ±inf or NaN, or when its finite values
+/// square past `f64::MAX`. Returns [`CoreError::NonFiniteRow`] for the
+/// first such row. Prediction takes any row: a test row only touches its
+/// own decision.
+pub(crate) fn check_finite_rows(x: &CsrMatrix) -> Result<(), CoreError> {
+    for i in 0..x.nrows() {
+        let row = x.row(i);
+        if !row.squared_norm().is_finite() {
+            let column = row.iter().find(|(_, v)| !v.is_finite()).map(|(c, _)| c);
+            return Err(CoreError::NonFiniteRow { row: i, column });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@ use shrinksvm_threads::ThreadPool;
 use crate::cache::{CacheStats, KernelCache};
 use crate::dist::solver::metrics_epoch;
 use crate::error::CoreError;
-use crate::kernel::KernelEval;
+use crate::kernel::{check_finite_rows, KernelEval};
 use crate::model::SvmModel;
 use crate::params::{SvmParams, WssKind};
 use crate::smo::state::{bound_tol, classify, in_low_set, in_up_set, IndexSet};
@@ -72,7 +72,8 @@ impl<'a> SmoSolver<'a> {
         self
     }
 
-    /// Train, consuming the solver.
+    /// Train, consuming the solver. A training row whose squared norm is
+    /// not finite is a [`CoreError::NonFiniteRow`].
     pub fn train(self) -> Result<TrainOutput, CoreError> {
         self.params.validate()?;
         let n = self.ds.len();
@@ -85,6 +86,7 @@ impl<'a> SmoSolver<'a> {
                 "all samples share one class".into(),
             ));
         }
+        check_finite_rows(&self.ds.x)?;
 
         #[allow(clippy::disallowed_methods)]
         // allow-wall-clock: host-side metric (reported solve time), not simulated time
@@ -369,7 +371,7 @@ mod tests {
     use crate::smo::dual_objective;
     use shrinksvm_datagen::gaussian;
     use shrinksvm_datagen::planted::PlantedConfig;
-    use shrinksvm_sparse::CsrMatrix;
+    use shrinksvm_sparse::{CsrBuilder, CsrMatrix};
 
     fn params(c: f64, sigma_sq: f64) -> SvmParams {
         SvmParams::new(c, KernelKind::rbf_from_sigma_sq(sigma_sq)).with_epsilon(1e-3)
@@ -456,6 +458,46 @@ mod tests {
             SmoSolver::new(&one_class, params(1.0, 1.0)).train(),
             Err(CoreError::DegenerateProblem(_))
         ));
+    }
+
+    #[test]
+    fn rejects_rows_whose_squared_norm_is_not_finite() {
+        type Row<'r> = (&'r [u32], &'r [f64]);
+        let train = |rows: [Row<'_>; 4]| {
+            let mut b = CsrBuilder::new(3);
+            for (idx, val) in rows {
+                b.push_row(idx, val).unwrap();
+            }
+            let ds = Dataset::new(b.finish(), vec![1.0, -1.0, 1.0, -1.0]).unwrap();
+            SmoSolver::new(&ds, params(1.0, 1.0)).train().map(|_| ())
+        };
+        let ok1: Row<'_> = (&[1, 2], &[0.25, -1.0]);
+        let ok2: Row<'_> = (&[1, 2], &[1.0, -0.5]);
+        let nan: Row<'_> = (&[0, 1], &[1.0, f64::NAN]);
+        // the first bad row is named, with its first non-finite column
+        assert!(matches!(
+            train([(&[0, 2], &[f64::INFINITY, 1.0]), ok1, nan, ok2]),
+            Err(CoreError::NonFiniteRow {
+                row: 0,
+                column: Some(0)
+            })
+        ));
+        assert!(matches!(
+            train([ok2, ok1, nan, (&[2], &[f64::NEG_INFINITY])]),
+            Err(CoreError::NonFiniteRow {
+                row: 2,
+                column: Some(1)
+            })
+        ));
+        // finite values whose squares overflow name no column
+        assert!(matches!(
+            train([ok2, (&[0, 2], &[1e308, 1e308]), ok1, ok2]),
+            Err(CoreError::NonFiniteRow {
+                row: 1,
+                column: None
+            })
+        ));
+        assert!(train([(&[0, 2], &[1e150, 1.0]), ok1, ok2, ok1]).is_ok());
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use csr::CsrMatrix;
 pub use dataset::Dataset;
 pub use error::SparseError;
 pub use rowview::RowView;
-pub use scratch::ScratchPad;
+pub use scratch::{PairPad, ScratchPad};

@@ -22,13 +22,20 @@
 //!   through it, which keeps the gather bit-identical to the merge-join
 //!   [`ops::dot`] without a branch per stored entry (see its docs).
 //!
+//! [`PairPad`] holds two rows side by side, so one gather pass over a row
+//! returns its dots with both ([`ops::dot_scatter_pair`]): the solver's
+//! sweep needs `K(x_i, x_up)` and `K(x_i, x_low)` for the same rows, and
+//! reconstruction needs one column per support vector. Each slot loads and
+//! clears through its own touched list, with the same hygiene.
+//!
 //! The workspace lint (`cargo xtask lint`, scratch-hygiene rule) bans raw
-//! `ops::dot_scatter` calls outside this crate so every reused dense
-//! scratch in the solvers goes through this type.
+//! `ops::dot_scatter` and `ops::dot_scatter_pair` calls outside this crate
+//! so every reused dense scratch in the solvers goes through these types.
 //!
 //! [`clear`]: ScratchPad::clear
 //! [`load`]: ScratchPad::load
 //! [`ops::dot_scatter`]: crate::ops::dot_scatter
+//! [`ops::dot_scatter_pair`]: crate::ops::dot_scatter_pair
 //! [`ops::dot`]: crate::ops::dot
 
 use crate::ops;
@@ -42,8 +49,9 @@ use crate::rowview::RowView;
 /// builds.
 ///
 /// Memory is `dim` f64 values plus `dim` one-byte occupancy flags. The
-/// distributed solver's kernel-column fills gather through a per-rank pad
-/// (its default dot), and prediction gathers through a per-thread one.
+/// distributed solver's one-column fills gather through a per-rank pad
+/// (its default dot; two columns at once go through a [`PairPad`]), and
+/// prediction gathers through a per-thread one.
 #[derive(Debug)]
 pub struct ScratchPad {
     dense: Vec<f64>,
@@ -125,6 +133,84 @@ impl ScratchPad {
     }
 }
 
+/// A reusable dense scratch holding two scattered sparse rows side by side,
+/// in slots 0 and 1.
+///
+/// Each column is 32 bytes: both rows' value bits, then both rows' u64
+/// occupancy masks (all ones where the row stores the column). One
+/// [`dots`](Self::dots) pass over a row reads one slot per stored entry
+/// and returns both sums, each bit-identical to [`ops::dot`] with its row.
+///
+/// Lifecycle per slot: [`load`](Self::load), any number of `dots`, then
+/// [`clear`](Self::clear) before that slot's next `load`. Each slot clears
+/// through its own touched list, so `O(nnz)` of its row. A slot that is not
+/// loaded dots to zero.
+///
+/// Memory is `32 · dim` bytes, allocated zeroed. Pages of columns that no
+/// row ever touches are never written, so they need not become resident.
+/// With one row loaded the wider slot gains nothing over a [`ScratchPad`]
+/// (on the sparse URL analog it read slower); use this pad when both slots
+/// are filled.
+#[derive(Debug)]
+pub struct PairPad {
+    slots: Vec<[u64; 4]>,
+    touched: [Vec<u32>; 2],
+}
+
+impl PairPad {
+    /// An empty pad able to hold rows with columns `< dim`.
+    pub fn new(dim: usize) -> Self {
+        Self {
+            slots: vec![[0u64; 4]; dim],
+            touched: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// Whether `slot` holds a row (any column occupied).
+    pub fn is_loaded(&self, slot: usize) -> bool {
+        !self.touched[slot].is_empty()
+    }
+
+    /// Scatter `row` into `slot` (0 or 1), recording touched columns.
+    ///
+    /// Debug builds assert the slot is pristine on entry, as
+    /// [`ScratchPad::load`] does.
+    pub fn load(&mut self, slot: usize, row: RowView<'_>) {
+        debug_assert!(
+            self.touched[slot].is_empty(),
+            "PairPad::load on a loaded slot — call clear() first"
+        );
+        debug_assert!(
+            self.slots.iter().all(|s| s[slot] == 0 && s[2 + slot] == 0),
+            "PairPad slot not all-zero on entry to load()"
+        );
+        for (c, v) in row.iter() {
+            let s = &mut self.slots[c as usize];
+            s[slot] = v.to_bits();
+            s[2 + slot] = u64::MAX;
+            self.touched[slot].push(c);
+        }
+    }
+
+    /// Gather dots of `a` against both slots in one pass; element `s` is
+    /// bit-identical to [`ops::dot`] of `a` with slot `s`'s row.
+    #[inline]
+    pub fn dots(&self, a: RowView<'_>) -> [f64; 2] {
+        ops::dot_scatter_pair(a, &self.slots)
+    }
+
+    /// Zero `slot` via its touched list — `O(nnz)` of its row, independent
+    /// of `dim`; the other slot is left as it is.
+    pub fn clear(&mut self, slot: usize) {
+        for &c in &self.touched[slot] {
+            let s = &mut self.slots[c as usize];
+            s[slot] = 0;
+            s[2 + slot] = 0;
+        }
+        self.touched[slot].clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,5 +269,39 @@ mod tests {
     fn empty_pad_dots_to_zero() {
         let pad = ScratchPad::new(8);
         assert_eq!(pad.dot(row(&[1, 2], &[1.0, 2.0])), 0.0);
+    }
+
+    #[test]
+    fn pair_pad_slots_load_and_clear_independently() {
+        let (p, q) = (row(P_IDX, P_VAL), row(&[0, 3], &[9.0, 2.0]));
+        let probe = row(&[0, 3, 7, 9], &[5.0, 2.0, 0.25, -3.0]);
+        let mut pad = PairPad::new(10);
+        pad.load(0, p);
+        pad.load(1, q);
+        let [d0, d1] = pad.dots(probe);
+        assert_eq!(d0.to_bits(), ops::dot(probe, p).to_bits());
+        assert_eq!(d1.to_bits(), ops::dot(probe, q).to_bits());
+        // clearing slot 0 leaves slot 1's row, and column 3 they share
+        pad.clear(0);
+        assert!(!pad.is_loaded(0) && pad.is_loaded(1));
+        assert_eq!(pad.dots(probe), [0.0, d1]);
+        // slot 0 reloads with the other row (debug builds check it is zero)
+        pad.load(0, q);
+        assert_eq!(pad.dots(probe), [d1, d1]);
+        pad.clear(0);
+        pad.clear(1);
+        assert!(!pad.is_loaded(0) && !pad.is_loaded(1));
+        // the far edge of the pad
+        pad.load(1, row(&[9], &[1.0]));
+        assert_eq!(pad.dots(row(&[9], &[3.0])), [0.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "call clear() first")]
+    #[cfg(debug_assertions)]
+    fn pair_pad_double_load_panics_in_debug() {
+        let mut pad = PairPad::new(10);
+        pad.load(1, row(P_IDX, P_VAL));
+        pad.load(1, row(P_IDX, P_VAL));
     }
 }

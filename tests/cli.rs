@@ -217,3 +217,38 @@ fn zero_processes_print_usage() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn non_finite_training_rows_fail_cleanly() {
+    let dir = workdir("non_finite_training_rows_fail_cleanly");
+    let inf = dir.join("inf.libsvm");
+    std::fs::write(
+        &inf,
+        "+1 1:inf 3:1\n-1 2:0.25 3:-1\n+1 1:1 2:nan\n-1 2:1 3:-0.5\n",
+    )
+    .unwrap();
+    // finite values whose squared norm overflows
+    let huge = dir.join("huge.libsvm");
+    std::fs::write(
+        &huge,
+        "-1 2:0.25 3:-1\n+1 1:1e308 3:1e308\n-1 2:1 3:-0.5\n+1 1:1\n",
+    )
+    .unwrap();
+    let model = dir.join("out.model");
+    for (train, named) in [(&inf, "row 0 "), (&huge, "row 1 ")] {
+        for procs in [None, Some("2")] {
+            let mut args: Vec<&str> = Vec::new();
+            if let Some(p) = procs {
+                args.extend(["-P", p]);
+            }
+            args.extend([train.to_str().unwrap(), model.to_str().unwrap()]);
+            let out = run(env!("CARGO_BIN_EXE_svm-train"), &args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(named), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(!model.exists(), "{args:?}: a model was written");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

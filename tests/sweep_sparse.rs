@@ -8,7 +8,7 @@ use shrinksvm::datagen::rng::SmallRng;
 use shrinksvm::sparse::io::{read_libsvm_from, write_libsvm_to};
 use shrinksvm::sparse::ops;
 use shrinksvm::sparse::scale::Scaler;
-use shrinksvm::sparse::{CsrBuilder, CsrMatrix, Dataset, RowView, ScratchPad};
+use shrinksvm::sparse::{CsrBuilder, CsrMatrix, Dataset, PairPad, RowView, ScratchPad};
 
 /// A small random dense matrix: ~30% explicit zeros, bounded values.
 fn dense_matrix(rng: &mut SmallRng) -> (Vec<Vec<f64>>, usize) {
@@ -188,6 +188,84 @@ fn scratch_gather_is_bitwise_the_merge_join() {
         finite > 100 && nonfinite > 100,
         "{finite} finite vs {nonfinite} non-finite dots"
     );
+}
+
+#[test]
+fn pair_gather_is_bitwise_both_merge_joins() {
+    // one pad, wide enough for every width below
+    let mut pad = PairPad::new(50_000);
+    // specials on both slots' overlaps, on exactly one's, and on neither
+    let (mut on_both, mut on_one, mut off_both) = (0usize, 0usize, 0usize);
+    let (mut finite, mut nonfinite, mut same_row_pairs) = (0usize, 0usize, 0usize);
+    for (width, max_nnz, seed) in [(8u32, 8usize, 600u64), (123, 40, 601), (50_000, 120, 602)] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // the last column is hot so the pad's far edge is exercised
+        let mut hot: Vec<u32> = (0..width.min(160))
+            .map(|_| rng.gen_range(0..width))
+            .collect();
+        hot.push(width - 1);
+        let rows: Vec<BTreeMap<u32, f64>> = (0..48)
+            .map(|_| special_row(&mut rng, width, &hot, max_nnz))
+            .collect();
+        let parts: Vec<(Vec<u32>, Vec<f64>)> = rows
+            .iter()
+            .map(|r| (r.keys().copied().collect(), r.values().copied().collect()))
+            .collect();
+        let view = |k: usize| RowView {
+            indices: &parts[k].0,
+            values: &parts[k].1,
+        };
+        for p0 in 0..rows.len() {
+            // every eighth pair loads one row into both slots
+            let p1 = if p0 % 8 == 0 {
+                p0
+            } else {
+                (p0 * 5 + 1) % rows.len()
+            };
+            same_row_pairs += usize::from(p0 == p1);
+            pad.load(0, view(p0));
+            pad.load(1, view(p1));
+            for (a, row) in rows.iter().enumerate() {
+                let got = pad.dots(view(a));
+                for (s, p) in [p0, p1].into_iter().enumerate() {
+                    let want = ops::dot(view(a), view(p));
+                    assert_eq!(
+                        got[s].to_bits(),
+                        want.to_bits(),
+                        "width={width} pair=({p0}, {p1}) slot={s} row={a}: \
+                         gather {:e} vs merge-join {want:e}",
+                        got[s]
+                    );
+                    if want.is_finite() {
+                        finite += 1;
+                    } else {
+                        nonfinite += 1;
+                    }
+                }
+                for (c, v) in row {
+                    if !v.is_normal() {
+                        match (rows[p0].contains_key(c), rows[p1].contains_key(c)) {
+                            (true, true) => on_both += 1,
+                            (false, false) => off_both += 1,
+                            _ => on_one += 1,
+                        }
+                    }
+                }
+            }
+            pad.clear(0);
+            pad.clear(1);
+            assert!(!pad.is_loaded(0) && !pad.is_loaded(1));
+        }
+    }
+    // the sweep is only evidence if every case actually occurred
+    assert!(on_both > 100, "{on_both} specials on both overlaps");
+    assert!(on_one > 100, "{on_one} specials on exactly one overlap");
+    assert!(off_both > 100, "{off_both} specials off both overlaps");
+    assert!(
+        finite > 100 && nonfinite > 100,
+        "{finite} finite vs {nonfinite} non-finite dots"
+    );
+    assert!(same_row_pairs >= 3, "{same_row_pairs} same-row pairs");
 }
 
 #[test]

@@ -29,9 +29,15 @@ pub const LIBRARY_ROOTS: &[&str] = &[
 /// state must be paid for through `ComputeCharge`.
 pub const DIST_PATHS: &[&str] = &["crates/core/src/dist"];
 
-/// The one tree allowed to call `dot_scatter` raw (it owns the
-/// scratch-buffer hazard via `ScratchPad`).
+/// The one tree allowed to call the raw gathers (it owns the
+/// scratch-buffer hazard via `ScratchPad` and `PairPad`).
 pub const SCRATCH_HOME: &str = "crates/sparse/src";
+
+/// Raw gathers over a dense scratch, each with the pad that wraps it.
+pub const SCRATCH_GATHERS: &[(&str, &str)] = &[
+    ("dot_scatter", "ScratchPad"),
+    ("dot_scatter_pair", "PairPad"),
+];
 
 /// Where the per-crate ratchet budgets live, relative to the repo root.
 pub const BUDGETS_PATH: &str = "xtask/lint_budgets.toml";
@@ -151,7 +157,7 @@ pub fn is_dist(rel_path: &str) -> bool {
     DIST_PATHS.iter().any(|p| rel_path.starts_with(p))
 }
 
-/// True when `rel_path` may call `dot_scatter` raw.
+/// True when `rel_path` may call the raw gathers.
 pub fn is_scratch_home(rel_path: &str) -> bool {
     rel_path.starts_with(SCRATCH_HOME)
 }

@@ -11,7 +11,8 @@
 //! |                   | whose function never charges the simulated clock          |
 //! | `budget`          | D4: per-crate unwrap/expect/unsafe/Relaxed ratchet        |
 //! | `relaxed-ordering`| `Ordering::Relaxed` without a nearby `// relaxed:` reason |
-//! | `scratch-hygiene` | raw `dot_scatter` outside `crates/sparse`                 |
+//! | `scratch-hygiene` | raw `dot_scatter`/`dot_scatter_pair` outside              |
+//! |                   | `crates/sparse`                                           |
 //!
 //! Every per-line rule reads *tokens*, so string literals, comments, raw
 //! strings and `#[cfg(test)]` items can never false-positive.
@@ -484,20 +485,24 @@ fn relaxed_ordering(file: &FileIndex, out: &mut Vec<Finding>) {
 fn scratch_hygiene(file: &FileIndex, out: &mut Vec<Finding>) {
     let toks = &file.toks;
     for j in 0..toks.len() {
-        if file.test_mask[j]
-            || !toks[j].is_ident("dot_scatter")
-            || !toks.get(j + 1).is_some_and(|n| n.is_punct("("))
-        {
+        let Some(&(raw, pad)) = manifest::SCRATCH_GATHERS
+            .iter()
+            .find(|(raw, _)| toks[j].is_ident(raw))
+        else {
+            continue;
+        };
+        if file.test_mask[j] || !toks.get(j + 1).is_some_and(|n| n.is_punct("(")) {
             continue;
         }
         out.push(Finding {
             file: file.path.clone(),
             line: toks[j].line,
             rule: "scratch-hygiene",
-            message: "raw `dot_scatter` against a hand-managed dense scratch; go through \
-                      `shrinksvm_sparse::ScratchPad` (touched-list clearing + all-zero \
-                      debug assertion) instead"
-                .to_string(),
+            message: format!(
+                "raw `{raw}` against a hand-managed dense scratch; go through \
+                 `shrinksvm_sparse::{pad}` (touched-list clearing + all-zero debug \
+                 assertion) instead"
+            ),
         });
     }
 }
