@@ -11,18 +11,19 @@
 //! `MPI_Allgatherv` here (§IV-B2).
 //!
 //! Each SV's column `K(x_j, ω)` comes from the solver's one kernel-column
-//! routine, [`RankState::fill_pivot_row`] — the gather against a dense
-//! scratch, split over the modeled lanes, priced like a pivot row — so a
-//! reconstruction costs what the sweep's pivot rows cost per column. A
-//! block's SVs are filled in pairs, two columns per gather pass, and each
-//! partial gradient adds `coef_a·K_a` then `coef_b·K_b`: every gradient
-//! sees the additions of one column at a time, in SV order. The gather is
-//! bit-identical to the merge-join, so the gradients are too.
+//! routine, [`RankState::fill_pivot_row`] — one sparse product over a
+//! column-major copy of ω's rows, built once per reconstruction, then the
+//! kernels over the modeled lanes, priced like a pivot row — so a
+//! reconstruction costs what the sweep's pivot rows cost per column. Each
+//! partial gradient adds `coef_a·K_a` then `coef_b·K_b` and so on, one
+//! column at a time in SV order. The product is bit-identical to the
+//! merge-join, so the gradients are too.
 //!
 //! All shrunk samples are then reactivated; the caller's next phase scan
 //! recomputes `β_up`/`β_low` over the full index sets.
 
 use shrinksvm_mpisim::Comm;
+use shrinksvm_sparse::ColumnMajor;
 
 use crate::dist::msg::{decode_sv_block, encode_sv_block, SvEntry};
 use crate::dist::solver::{Column, RankState};
@@ -35,11 +36,10 @@ use crate::trace::ReconEvent;
 /// one counting allreduce. A ring block that does not decode is a
 /// [`CoreError::ModelFormat`].
 ///
-/// Each ring block's SV columns are filled in pairs through
-/// [`RankState::fill_pivot_row`]; for each shrunk row the pair adds
-/// `coef_a·K_a` and then `coef_b·K_b` to its partial gradient, and the two
-/// columns' charges are added in SV order, so gradients and clocks equal a
-/// column-at-a-time fill's bit for bit.
+/// Each ring block's SV columns are filled one at a time through
+/// [`RankState::fill_pivot_row`] over one column-major copy of ω; each
+/// shrunk row's partial gradient adds `coef_a·K_a`, then `coef_b·K_b`, in
+/// SV order, and the columns' charges are added in the same order.
 pub(crate) fn reconstruct(
     st: &mut RankState<'_>,
     comm: &mut Comm,
@@ -80,38 +80,24 @@ pub(crate) fn reconstruct(
     let sv_count = comm.allreduce_u64_sum(entries.len() as u64);
     let sv_bytes = comm.allreduce_u64_sum(my_block.len() as u64);
 
-    // Ring: process own block, then p−1 shifted blocks (lines 2–6). The
-    // SVs' kernel columns over ω are filled two at a time, then folded into
-    // the partial gradients in block order, and charged in block order.
+    // Ring: process own block, then p−1 shifted blocks (lines 2–6). Each
+    // SV's kernel column over ω is filled, folded into the partial
+    // gradients and charged, in block order.
     let p = comm.size();
+    let mut omega_cols = ColumnMajor::default();
+    st.copy_columns(&omega, &mut omega_cols);
     let mut gtmp = vec![0.0f64; omega.len()];
-    let mut ka = vec![0.0f64; omega.len()];
-    let mut kb = vec![0.0f64; omega.len()];
+    let mut k = vec![0.0f64; omega.len()];
     let mut cur = my_block;
     for step in 0..p {
         let block = decode_sv_block(&cur).ok_or_else(|| {
             CoreError::ModelFormat(format!("bad SV block at reconstruction ring step {step}"))
         })?;
         let mut cost = 0.0;
-        for pair in block.chunks(2) {
-            if let [a, b] = pair {
-                let [ca, cb] =
-                    st.fill_pivot_row(&omega, column(a, &mut ka), Some(column(b, &mut kb)));
-                cost += ca;
-                cost += cb;
-                for ((g, &x), &y) in gtmp.iter_mut().zip(&ka).zip(&kb) {
-                    *g += a.coef * x;
-                    *g += b.coef * y;
-                }
-            } else {
-                // the odd SV at the end of a block
-                for a in pair {
-                    let [ca, _] = st.fill_pivot_row(&omega, column(a, &mut ka), None);
-                    cost += ca;
-                    for (g, &x) in gtmp.iter_mut().zip(&ka) {
-                        *g += a.coef * x;
-                    }
-                }
+        for sv in &block {
+            cost += st.fill_pivot_row(&omega, &omega_cols, column(sv, &mut k));
+            for (g, &kv) in gtmp.iter_mut().zip(&k) {
+                *g += sv.coef * kv;
             }
         }
         st.trace.kernel_evals += (block.len() * omega.len()) as u64;

@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 
 use shrinksvm_mpisim::{Comm, MaxLoc, MinLoc};
 use shrinksvm_obs::MetricsRegistry;
-use shrinksvm_sparse::{ops, Dataset, PairPad, RowView, ScratchPad};
+use shrinksvm_sparse::{ops, ColumnMajor, Dataset, RowView};
 use shrinksvm_threads::schedule::static_block;
 
 use crate::cache::{KernelCache, Lookup};
@@ -79,21 +79,23 @@ pub fn metrics_epoch() -> u64 {
 
 /// Sparse dot-product implementation used by the gradient-update hot path.
 ///
-/// Both produce **bit-identical** kernel values: the scatter path gathers
-/// at exactly the merge-join's overlap columns in the same ascending order
-/// (see [`shrinksvm_sparse::ops::dot_scatter`]), and the post-dot
-/// arithmetic is shared through [`KernelKind::eval_from_dot`]. They differ
-/// only in cost: merge-join touches `nnz_i + nnz_pivot` entries per active
-/// row, the scatter gather touches `nnz_i` plus one `2·nnz_pivot`
-/// scatter/unscatter per pivot per iteration.
+/// Both produce **bit-identical** kernel values: the sparse product adds
+/// exactly the merge-join's products in the same ascending column order
+/// (see [`shrinksvm_sparse::ColumnMajor::dots_into`]), and the post-dot
+/// arithmetic is shared through [`KernelKind::eval_from_dot`]. They also
+/// charge the modeled clock differently: the merge-join walks
+/// `nnz_i + nnz_pivot` entries per row, while `Scatter` is priced as a
+/// scatter/gather — one `scatter_setup(nnz_pivot)` per pivot plus λ per
+/// stored entry of every row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DotKind {
     /// Two-pointer merge over both rows' column lists (the pre-optimization
     /// path, kept for A/B benchmarking and as the identity reference).
     MergeJoin,
-    /// Scatter the pivot into a dense [`ScratchPad`] once, then index-gather
-    /// each active row against it; two pivots filled together share one
-    /// [`PairPad`] pass.
+    /// Priced as a scatter of the pivot and a gather per row. The host runs
+    /// one sparse product per kernel column over a column-major copy of the
+    /// rows ([`ColumnMajor`]), which multiplies only the entries a row
+    /// shares with the pivot.
     #[default]
     Scatter,
 }
@@ -231,11 +233,11 @@ pub(crate) struct RankState<'a> {
     lanes: usize,
     /// Dot-product implementation for pivot-row evaluation.
     dots: DotKind,
-    /// Dense scratch a lone pivot row is scattered into
-    /// (`DotKind::Scatter`).
-    pad: ScratchPad,
-    /// Two-row scratch for fills of two columns at once.
-    pair: PairPad,
+    /// Column-major copy of the active rows, in active-list order, that
+    /// the sweep's kernel columns multiply (`DotKind::Scatter`; empty under
+    /// the merge-join). Rebuilt by [`Self::rebuild_active_columns`]
+    /// wherever the active list changes.
+    active_cols: ColumnMajor,
     /// LRU cache of pivot kernel rows over the active span, keyed by
     /// global pivot index. `None` when `params.cache_bytes == 0`.
     row_cache: Option<KernelCache>,
@@ -298,8 +300,7 @@ impl<'a> RankState<'a> {
             sq,
             lanes: cfg.threads.max(1),
             dots: cfg.dots,
-            pad: ScratchPad::new(ds.x.ncols()),
-            pair: PairPad::new(ds.x.ncols()),
+            active_cols: ColumnMajor::default(),
             row_cache: cache_on
                 .then(|| KernelCache::with_byte_budget(cfg.params.cache_bytes, ln.max(1))),
             pair_cache: cache_on.then(|| KernelCache::with_capacity_rows(PAIR_MEMO_ROWS)),
@@ -323,6 +324,7 @@ impl<'a> RankState<'a> {
             st.restore(ck);
         }
         st.rebuild_active_list();
+        st.rebuild_active_columns();
         st
     }
 
@@ -333,6 +335,25 @@ impl<'a> RankState<'a> {
             if a {
                 self.active_list.push(li as u32);
             }
+        }
+    }
+
+    /// Rebuild `active_cols` in place from the active list. Called wherever
+    /// the list changes: construction (after any restore), the shrink
+    /// pass's compaction and [`Self::on_reconstruction`].
+    fn rebuild_active_columns(&mut self) {
+        let mut cols = std::mem::take(&mut self.active_cols);
+        self.copy_columns(&self.active_list, &mut cols);
+        self.active_cols = cols;
+    }
+
+    /// Make `cols` the column-major copy of local rows `rows`, in list
+    /// order, for [`Self::fill_pivot_row`] to multiply. Under
+    /// [`DotKind::MergeJoin`] `cols` is left as it is: the reference reads
+    /// the rows themselves.
+    pub(crate) fn copy_columns(&self, rows: &[u32], cols: &mut ColumnMajor) {
+        if self.dots == DotKind::Scatter {
+            cols.rebuild(&self.ds.x, rows.iter().map(|&li| self.lo + li as usize));
         }
     }
 
@@ -354,6 +375,7 @@ impl<'a> RankState<'a> {
     /// rows (spanning the old, shorter active list) must go.
     pub(crate) fn on_reconstruction(&mut self) {
         self.rebuild_active_list();
+        self.rebuild_active_columns();
         self.invalidate_caches();
     }
 
@@ -531,56 +553,46 @@ impl<'a> RankState<'a> {
         comm.allreduce_minloc_maxloc((up, &up_bytes), (low, &low_bytes))
     }
 
-    /// Fill kernel column `a`, and `b` when given, over the local rows
-    /// `rows` — the one kernel-column routine: the active list spans the
-    /// sweep's pivot rows, ω spans Algorithm 3's SV columns. Under
-    /// [`DotKind::Scatter`] a lone pivot is loaded into the [`ScratchPad`],
-    /// two pivots into the two slots of the [`PairPad`]; every row gathers
-    /// once against the loaded pivots, and the pads are cleared. Under
-    /// [`DotKind::MergeJoin`] each column merge-joins every row with its
-    /// pivot.
+    /// Fill one kernel column over the local rows `rows` — the one
+    /// kernel-column routine: the active list spans the sweep's pivot rows,
+    /// ω spans Algorithm 3's SV columns. Under [`DotKind::Scatter`], `cols`
+    /// is the column-major copy of `rows` ([`Self::copy_columns`]): one
+    /// sparse product ([`ColumnMajor::dots_into`]) writes every row's dot
+    /// with the pivot into `out`, and the kernels are then evaluated lane by
+    /// lane. Under [`DotKind::MergeJoin`] `cols` is unused and every row
+    /// merge-joins with the pivot.
     ///
     /// `rows` splits into `lanes` static lanes, run inline in lane order.
-    /// Returns each column's charge, `[a, b]` (`b` is 0.0 when absent):
-    /// the column's slowest lane under [`ComputeCharge::lane`], plus the
-    /// [`ComputeCharge::scatter_setup`] of its pivot under Scatter — what
-    /// the column costs when it is filled alone. Each column also counts
+    /// Returns the column's charge: its slowest lane under
+    /// [`ComputeCharge::lane`], plus the [`ComputeCharge::scatter_setup`] of
+    /// its pivot under Scatter. That still prices a scatter/gather (λ per
+    /// stored entry of every row), although the product multiplies only
+    /// the entries a row shares with the pivot. The column also counts
     /// `rows.len()` kernel evaluations.
     ///
-    /// Kernel values are bit-identical across the dot implementations and
-    /// across one- and two-column fills: every gather performs the
-    /// merge-join's exact f64 sequence ([`ops::dot_scatter`],
-    /// [`ops::dot_scatter_pair`]), and all feed
+    /// Kernel values are bit-identical across the dot implementations: the
+    /// product performs each merge-join's exact f64 sequence, and both feed
     /// [`KernelKind::eval_from_dot`].
     pub(crate) fn fill_pivot_row(
-        &mut self,
+        &self,
         rows: &[u32],
-        a: Column<'_, '_>,
-        mut b: Option<Column<'_, '_>>,
-    ) -> [f64; 2] {
+        cols: &ColumnMajor,
+        col: Column<'_, '_>,
+    ) -> f64 {
         let m = rows.len();
-        debug_assert_eq!(m, a.out.len());
-        debug_assert!(b.as_ref().is_none_or(|b| b.out.len() == m));
+        debug_assert_eq!(m, col.out.len());
         if m == 0 {
-            return [0.0; 2];
+            return 0.0;
         }
         let scatter = self.dots == DotKind::Scatter;
         if scatter {
-            match &b {
-                None => self.pad.load(a.pivot),
-                Some(b) => {
-                    self.pair.load(0, a.pivot);
-                    self.pair.load(1, b.pivot);
-                }
-            }
+            cols.dots_into(col.pivot, col.out);
         }
-        // the merge-join walks a pivot's entries once per row
-        let walk = |c: &Column<'_, '_>| if scatter { 0 } else { c.pivot.nnz() as u64 };
-        let (walk_a, walk_b) = (walk(&a), b.as_ref().map_or(0, walk));
+        // the merge-join walks the pivot's entries once per row
+        let walk = if scatter { 0 } else { col.pivot.nnz() as u64 };
         let (ds, lo, kind, sq) = (self.ds, self.lo, self.kind, &self.sq);
-        let (pad, pair) = (&self.pad, &self.pair);
         let t = self.lanes.min(m);
-        let mut slowest = [0.0f64; 2];
+        let mut slowest = 0.0f64;
         for w in 0..t {
             let (start, end) = static_block(0, m, w, t);
             let mut nnz = 0u64;
@@ -588,51 +600,22 @@ impl<'a> RankState<'a> {
                 let li = rows[k] as usize;
                 let row = ds.x.row(lo + li);
                 nnz += row.nnz() as u64;
-                match &mut b {
-                    None => {
-                        let dot = if scatter {
-                            pad.dot(row)
-                        } else {
-                            ops::dot(row, a.pivot)
-                        };
-                        a.out[k] = kind.eval_from_dot(dot, sq[li], a.pivot_sq);
-                    }
-                    Some(b) => {
-                        let [da, db] = if scatter {
-                            pair.dots(row)
-                        } else {
-                            [ops::dot(row, a.pivot), ops::dot(row, b.pivot)]
-                        };
-                        a.out[k] = kind.eval_from_dot(da, sq[li], a.pivot_sq);
-                        b.out[k] = kind.eval_from_dot(db, sq[li], b.pivot_sq);
-                    }
-                }
+                let dot = if scatter {
+                    col.out[k]
+                } else {
+                    ops::dot(row, col.pivot)
+                };
+                col.out[k] = kind.eval_from_dot(dot, sq[li], col.pivot_sq);
             }
             let n = (end - start) as u64;
-            for (slow, walk) in slowest.iter_mut().zip([walk_a, walk_b]) {
-                *slow = slow.max(self.charge.lane((nnz + n * walk) as f64, n as f64));
-            }
+            slowest = slowest.max(self.charge.lane((nnz + n * walk) as f64, n as f64));
         }
-        let setup = |c: &Column<'_, '_>| {
-            if scatter {
-                self.charge.scatter_setup(c.pivot.nnz() as f64)
-            } else {
-                0.0
-            }
+        let setup = if scatter {
+            self.charge.scatter_setup(col.pivot.nnz() as f64)
+        } else {
+            0.0
         };
-        let costs = [
-            setup(&a) + slowest[0],
-            b.as_ref().map_or(0.0, |b| setup(b) + slowest[1]),
-        ];
-        if scatter {
-            if b.is_some() {
-                self.pair.clear(0);
-                self.pair.clear(1);
-            } else {
-                self.pad.clear();
-            }
-        }
-        costs
+        setup + slowest
     }
 
     /// Obtain `K(active, up)` and `K(active, low)` over the active span for
@@ -640,10 +623,10 @@ impl<'a> RankState<'a> {
     /// freshly computed. With the cache on, up is looked up before low, and
     /// both lookups settle before either row is filled
     /// ([`KernelCache::lookup`]), so the LRU trace is the one two fetches in
-    /// a row would leave. Two rows to fill share one
-    /// [`Self::fill_pivot_row`] pass. Each row's charge:
+    /// a row would leave. The missed rows are then filled up first, each by
+    /// one [`Self::fill_pivot_row`] over the active copy. Each row's charge:
     ///
-    /// * miss / cache off: its column's fill charge, as if filled alone;
+    /// * miss / cache off: its column's fill charge;
     /// * hit: one [`ComputeCharge::cache_lookup`] plus the dense fma sweep
     ///   (`max_chunk · fma_per_elem`) — the λ the cache saved is exactly
     ///   what is *not* charged, so simulated time reflects the reuse.
@@ -679,19 +662,10 @@ impl<'a> RankState<'a> {
                 None => misses.push((side, p, None)),
             }
         }
-        let mut filled: Vec<Vec<f64>> = misses.iter().map(|_| vec![0.0; m]).collect();
-        // Lent out for the fill, which borrows the rank mutably for its
-        // scratch pads; restored below.
-        let rows = std::mem::take(&mut self.active_list);
-        let costs = match (&misses[..], &mut filled[..]) {
-            ([(_, a, _), (_, b, _)], [ka, kb]) => {
-                self.fill_pivot_row(&rows, a.column(ka), Some(b.column(kb)))
-            }
-            ([(_, a, _)], [ka]) => self.fill_pivot_row(&rows, a.column(ka), None),
-            _ => [0.0; 2],
-        };
-        self.active_list = rows;
-        for (((side, _, ticket), values), cost) in misses.into_iter().zip(filled).zip(costs) {
+        for (side, p, ticket) in misses {
+            let mut values = vec![0.0; m];
+            let cost =
+                self.fill_pivot_row(&self.active_list, &self.active_cols, p.column(&mut values));
             let row = match (ticket, cache.as_mut()) {
                 (Some(t), Some(c)) => c.fill(t, values),
                 _ => Arc::new(values),
@@ -987,6 +961,7 @@ impl<'a> RankState<'a> {
                         rc.resize_rows(&keep);
                     }
                     self.active_list = keep.iter().map(|&p| self.active_list[p]).collect();
+                    self.rebuild_active_columns();
                 }
                 let tail_t0 = comm.clock();
                 let tail_cost = (m + keep.len()) as f64 * self.charge.fma_per_elem;

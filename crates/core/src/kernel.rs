@@ -79,12 +79,13 @@ impl KernelKind {
     /// squared norms, for RBF), so [`eval`](Self::eval) is this applied to
     /// the merge-join dot. The distributed solver's kernel-column fills and
     /// [`SvmModel::decision`](crate::model::SvmModel::decision) obtain the
-    /// dot from a [`shrinksvm_sparse::ScratchPad`] gather instead, which is
-    /// bit-identical to the merge-join, so their kernel values are
-    /// bit-identical too: the post-dot arithmetic is this one function
-    /// either way. The merge-join stays in [`eval`](Self::eval) on purpose:
-    /// it is the reference `DotKind::MergeJoin` is compared against and
-    /// the dot of the sequential libsvm analogs ([`KernelEval`]).
+    /// dot from the sparse product of a [`shrinksvm_sparse::ColumnMajor`]
+    /// copy instead, which is bit-identical to the merge-join, so their
+    /// kernel values are bit-identical too: the post-dot arithmetic is this
+    /// one function either way. The merge-join stays in
+    /// [`eval`](Self::eval) on purpose: it is the reference
+    /// `DotKind::MergeJoin` is compared against and the dot of the
+    /// sequential libsvm analogs ([`KernelEval`]).
     #[inline]
     pub fn eval_from_dot(&self, dot_ab: f64, a_sq: f64, b_sq: f64) -> f64 {
         match *self {

@@ -1,10 +1,9 @@
 //! The trained classifier.
 
-use std::cell::RefCell;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use shrinksvm_sparse::{CsrBuilder, CsrMatrix, RowView, ScratchPad};
+use shrinksvm_sparse::{ColumnMajor, CsrBuilder, CsrMatrix, RowView};
 
 use crate::error::CoreError;
 use crate::kernel::KernelKind;
@@ -17,6 +16,8 @@ use crate::smo::solver::support_indices;
 pub struct SvmModel {
     kernel: KernelKind,
     sv: CsrMatrix,
+    /// The SVs stored by column, for [`Self::decision`]'s sparse product.
+    sv_cols: ColumnMajor,
     sv_sq_norms: Vec<f64>,
     coef: Vec<f64>,
     bias: f64,
@@ -40,9 +41,11 @@ impl SvmModel {
             )));
         }
         let sv_sq_norms = sv.row_squared_norms();
+        let sv_cols = ColumnMajor::from_matrix(&sv);
         Ok(SvmModel {
             kernel,
             sv,
+            sv_cols,
             sv_sq_norms,
             coef,
             bias,
@@ -106,30 +109,22 @@ impl SvmModel {
 
     /// Decision value `D(x)`.
     ///
-    /// `x` is loaded into this thread's [`ScratchPad`] once, and each SV
-    /// row gathers against it in SV order. `pad.dot(sv_j)` multiplies
-    /// `sv_j`'s values by `x`'s in ascending column order, the same
-    /// operands as `ops::dot(sv_j, x)`, so `D(x)` is bit-identical to
-    /// `Σ_j coef_j · kernel.eval(sv_j, x, ‖sv_j‖², ‖x‖²) − β`. The pad is
-    /// per thread because callers predict rows in parallel; it grows to the
-    /// widest row or model it has seen and is left cleared.
+    /// One sparse product over the column-major copy of the SVs
+    /// ([`ColumnMajor::dots_into`]) yields every `⟨sv_j, x⟩` at once, each
+    /// bit-identical to `ops::dot(sv_j, x)`; the kernels are then summed in
+    /// SV order. So `D(x)` is bit-identical to
+    /// `Σ_j coef_j · kernel.eval(sv_j, x, ‖sv_j‖², ‖x‖²) − β`. The product
+    /// reads only `x`'s columns that some SV stores, so memory follows the
+    /// model, never the width of `x` or the model's declared column count.
     pub fn decision(&self, x: RowView<'_>) -> f64 {
-        thread_local! {
-            static PAD: RefCell<ScratchPad> = RefCell::new(ScratchPad::new(0));
-        }
         let x_sq = x.squared_norm();
-        let x_dim = x.indices.last().map_or(0, |&c| c as usize + 1);
-        PAD.with_borrow_mut(|pad| {
-            pad.ensure_dim(x_dim.max(self.sv.ncols()));
-            pad.load(x);
-            let mut acc = 0.0;
-            for (j, &cj) in self.coef.iter().enumerate() {
-                let dot = pad.dot(self.sv.row(j));
-                acc += cj * self.kernel.eval_from_dot(dot, self.sv_sq_norms[j], x_sq);
-            }
-            pad.clear();
-            acc - self.bias
-        })
+        let mut dots = vec![0.0; self.n_sv()];
+        self.sv_cols.dots_into(x, &mut dots);
+        let mut acc = 0.0;
+        for ((&cj, &dot), &sv_sq) in self.coef.iter().zip(&dots).zip(&self.sv_sq_norms) {
+            acc += cj * self.kernel.eval_from_dot(dot, sv_sq, x_sq);
+        }
+        acc - self.bias
     }
 
     /// Predicted label (`+1.0` / `-1.0`; ties go positive).
@@ -255,7 +250,10 @@ impl SvmModel {
                 if ci == 0 {
                     return Err(CoreError::ModelFormat("columns are 1-based".into()));
                 }
-                idx.push((ci - 1) as u32);
+                let ci = u32::try_from(ci - 1).map_err(|_| {
+                    CoreError::ModelFormat(format!("sv row {k}: column {ci} is past 4294967296"))
+                })?;
+                idx.push(ci);
                 val.push(parse(vi)?);
             }
             b.push_row(&idx, &val)
@@ -387,6 +385,17 @@ mod tests {
         assert!(matches!(
             SvmModel::read_from(evil.as_bytes()),
             Err(CoreError::ModelFormat(_))
+        ));
+    }
+
+    #[test]
+    fn read_rejects_columns_past_u32() {
+        // 4294967297 would wrap to column 0 if cast to u32
+        let text = "shrinksvm-model v1\nkernel linear\nbias 0\nnsv 1 ncols 8589934592\n\
+                    1 4294967297:2\n";
+        assert!(matches!(
+            SvmModel::read_from(text.as_bytes()),
+            Err(CoreError::ModelFormat(msg)) if msg.contains("4294967297")
         ));
     }
 

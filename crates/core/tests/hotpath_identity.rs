@@ -1,5 +1,6 @@
-//! Hot-path identity suite: the rebuilt gradient-update path — dense-scratch
-//! dots, the shrink-aware kernel row cache and modeled intra-rank lanes —
+//! Hot-path identity suite: the rebuilt gradient-update path — kernel
+//! columns from a column-major product, the shrink-aware kernel row cache
+//! and modeled intra-rank lanes —
 //! is a pure performance layer. At a fixed process count the solver
 //! trajectory is a function of the problem alone, so every combination of
 //! {lane count} × {cache on/off} × {dot implementation} must produce a
@@ -11,8 +12,9 @@
 //! under an injected rank crash — since a stale positional row surviving
 //! either would corrupt gradients silently.
 //!
-//! Prediction gathers through the same scratch pad, so `SvmModel::decision`
-//! is pinned bit for bit to the merge-join sum it replaced.
+//! Prediction runs the same product over a column-major copy of the support
+//! vectors, so `SvmModel::decision` is pinned bit for bit to the merge-join
+//! sum it replaced.
 
 use shrinksvm_core::dist::{CheckpointPolicy, DistRunResult, DistSolver, DotKind};
 use shrinksvm_core::kernel::KernelKind;
@@ -247,7 +249,7 @@ fn every_third_sv_model(kind: KernelKind, x: &CsrMatrix) -> SvmModel {
 type OwnedRow = (Vec<u32>, Vec<f64>);
 
 /// Every train and test row of the analog, then a row reaching past the
-/// model's columns and an empty row.
+/// model's columns, one reaching column 3,999,999,999 and an empty row.
 fn prediction_rows(data: &PaperData) -> Vec<OwnedRow> {
     let mut rows: Vec<OwnedRow> = Vec::new();
     for ds in std::iter::once(&data.train).chain(&data.test) {
@@ -261,6 +263,7 @@ fn prediction_rows(data: &PaperData) -> Vec<OwnedRow> {
         vec![0, 2, ncols + 1, ncols + 4096],
         vec![0.75, -1.5, 2.0, 3.25],
     ));
+    rows.push((vec![1, 3, 3_999_999_999], vec![-0.5, 1.25, 4.0]));
     rows.push((Vec::new(), Vec::new()));
     rows
 }
@@ -297,7 +300,7 @@ fn prediction_cases() -> Vec<(String, SvmModel, Vec<OwnedRow>)> {
 fn prediction_gathers_bitwise_like_the_merge_join() {
     let cases = prediction_cases();
     // four threads at once, each starting from a different case, so every
-    // thread-local pad serves models of both widths
+    // thread predicts with models of both widths
     std::thread::scope(|s| {
         for t in 0..4 {
             let cases = &cases;
@@ -330,9 +333,9 @@ fn prediction_gathers_bitwise_like_the_merge_join() {
 
 #[test]
 fn one_thread_alternating_narrow_and_wide_models_stays_exact() {
-    // A fresh thread's pad starts empty: the narrow a9a model grows it to
-    // 123 columns, the wide URL model to 50,000, and every decision must
-    // leave it clean for the next, whichever width comes next.
+    // One fresh thread alternates the narrow a9a model (123 columns) and
+    // the wide URL model (50,000) on rows of both widths: each decision
+    // depends on its model and row alone, whichever came before it.
     std::thread::spawn(|| {
         let narrow_data = PaperDataset::Adult9.generate(0.02);
         let wide_data = PaperDataset::Url.generate(0.02);

@@ -14,7 +14,8 @@ use crate::error::SparseError;
 /// Parse a dataset in libsvm format from any reader.
 ///
 /// Column indices in the file are 1-based and converted to 0-based; indices
-/// within a line must be strictly increasing (as `svm-scale` emits them).
+/// within a line must be strictly increasing (as `svm-scale` emits them),
+/// and at most 2³² (the largest that fits a 0-based `u32` column id).
 pub fn read_libsvm_from<R: Read>(reader: R) -> Result<Dataset, SparseError> {
     let mut b = CsrBuilder::auto_cols();
     let mut labels: Vec<f64> = Vec::new();
@@ -62,11 +63,15 @@ pub fn read_libsvm_from<R: Read>(reader: R) -> Result<Dataset, SparseError> {
                     msg: "libsvm columns are 1-based; found 0".into(),
                 });
             }
+            let col = u32::try_from(c - 1).map_err(|_| SparseError::Parse {
+                line: lineno,
+                msg: format!("column {c} is past the largest supported column 4294967296"),
+            })?;
             let v: f64 = v.parse().map_err(|_| SparseError::Parse {
                 line: lineno,
                 msg: format!("bad value '{v}'"),
             })?;
-            idx.push((c - 1) as u32);
+            idx.push(col);
             val.push(v);
         }
         b.push_row(&idx, &val).map_err(|e| SparseError::Parse {
@@ -159,6 +164,29 @@ mod tests {
     fn rejects_zero_based_columns() {
         let err = read_libsvm_from("+1 0:1\n".as_bytes()).unwrap_err();
         assert!(matches!(err, SparseError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn columns_past_u32_are_rejected_not_wrapped() {
+        // 2^32 is the last 1-based column whose 0-based id fits u32
+        let ds = read_libsvm_from(
+            "+1 4294967296:5
+"
+            .as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(ds.x.row(0).indices, [u32::MAX]);
+        let err = read_libsvm_from(
+            "-1 1:1
++1 4294967297:5
+"
+            .as_bytes(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SparseError::Parse { line: 2, msg } if msg.contains("4294967297")),
+            "{err}"
+        );
     }
 
     #[test]

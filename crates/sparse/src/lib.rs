@@ -11,6 +11,8 @@
 //! * [`CsrBuilder`] — incremental row-by-row construction,
 //! * [`RowView`] — a borrowed view of one sample used by the kernel
 //!   functions,
+//! * [`ColumnMajor`] — a column-major copy of a list of rows, whose sparse
+//!   product fills a whole kernel column's dots at once,
 //! * [`ops`] — merge-join sparse dot products, norms and squared Euclidean
 //!   distances (the inner loop of every kernel evaluation),
 //! * [`io`] — reader/writer for the standard libsvm text format,
@@ -21,6 +23,7 @@
 //! dataset has 3.2M features, well within range) with `usize` row pointers.
 
 pub mod builder;
+pub mod columns;
 pub mod csr;
 pub mod dataset;
 pub mod error;
@@ -31,8 +34,9 @@ pub mod scale;
 pub mod scratch;
 
 pub use builder::CsrBuilder;
+pub use columns::ColumnMajor;
 pub use csr::CsrMatrix;
 pub use dataset::Dataset;
 pub use error::SparseError;
 pub use rowview::RowView;
-pub use scratch::{PairPad, ScratchPad};
+pub use scratch::ScratchPad;

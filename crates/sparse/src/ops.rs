@@ -75,27 +75,6 @@ pub fn dot_scatter(a: RowView<'_>, dense: &[f64], occupied: &[bool]) -> f64 {
     acc
 }
 
-/// Two gather-form dot products in one pass over `a`, against two rows
-/// scattered side by side (see [`crate::scratch::PairPad`]). `O(nnz_a)`.
-///
-/// `slots[c]` is `[b0 bits, b1 bits, mask0, mask1]`: the two rows' values
-/// at column `c`, and a mask of all ones where that row stores `c`, zero
-/// elsewhere. Each sum adds `av[i] * b_s[c]` with the product's bits ANDed
-/// with the row's mask, in ascending column order, exactly as
-/// [`dot_scatter`] does. So each is bit-identical to its merge-join:
-/// `dot_scatter_pair(a, …)[s].to_bits() == dot(a, b_s).to_bits()`,
-/// non-finite values included, by the argument on [`dot_scatter`].
-#[inline]
-pub fn dot_scatter_pair(a: RowView<'_>, slots: &[[u64; 4]]) -> [f64; 2] {
-    let (mut acc0, mut acc1) = (0.0, 0.0);
-    for (c, v) in a.iter() {
-        let [b0, b1, mask0, mask1] = slots[c as usize];
-        acc0 += f64::from_bits((v * f64::from_bits(b0)).to_bits() & mask0);
-        acc1 += f64::from_bits((v * f64::from_bits(b1)).to_bits() & mask1);
-    }
-    [acc0, acc1]
-}
-
 /// Scatter `a` into `dense` (which must be zeroed and long enough), returning
 /// a guard list of touched columns so the caller can cheaply un-scatter.
 pub fn scatter(a: RowView<'_>, dense: &mut [f64]) {
@@ -121,8 +100,8 @@ pub fn squared_distance(a: RowView<'_>, b: RowView<'_>, a_sq: f64, b_sq: f64) ->
 /// Squared-norm identity applied to an already-computed dot product.
 ///
 /// Split out of [`squared_distance`] so callers that obtain `⟨a,b⟩` through
-/// a different (bit-identical) path — e.g. [`dot_scatter`] against a
-/// [`crate::scratch::ScratchPad`] — reuse the same clamp and the same f64
+/// a different (bit-identical) path — e.g. the product of a
+/// [`crate::ColumnMajor`] copy — reuse the same clamp and the same f64
 /// expression, keeping kernel values bit-for-bit equal across dot
 /// implementations.
 #[inline]
@@ -229,28 +208,6 @@ mod tests {
         let got = dot_scatter(weird, &dense, &occ);
         assert_eq!(got.to_bits(), dot(weird, b()).to_bits());
         assert_eq!(got, 0.5 * 4.0);
-    }
-
-    #[test]
-    fn pair_gather_matches_both_merge_joins_bitwise() {
-        // slot 0 holds `b`, slot 1 holds `a`; `weird` puts inf where `b`
-        // stores nothing and -0.0 on an overlap.
-        let weird = RowView {
-            indices: &[1, 2, 5],
-            values: &[f64::INFINITY, -0.0, 0.5],
-        };
-        let mut slots = vec![[0u64; 4]; 6];
-        for (s, row) in [b(), a()].into_iter().enumerate() {
-            for (c, v) in row.iter() {
-                slots[c as usize][s] = v.to_bits();
-                slots[c as usize][2 + s] = u64::MAX;
-            }
-        }
-        for probe in [a(), b(), weird] {
-            let [d0, d1] = dot_scatter_pair(probe, &slots);
-            assert_eq!(d0.to_bits(), dot(probe, b()).to_bits());
-            assert_eq!(d1.to_bits(), dot(probe, a()).to_bits());
-        }
     }
 
     #[test]

@@ -252,3 +252,63 @@ fn non_finite_training_rows_fail_cleanly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn columns_past_u32_fail_cleanly() {
+    let dir = workdir("columns_past_u32_fail_cleanly");
+    // 4294967297 would wrap to column 0 if cast to u32
+    let data = dir.join("wide.libsvm");
+    std::fs::write(&data, "+1 1:1 2:0.5\n-1 4294967297:5\n+1 1:2\n").unwrap();
+    let model = dir.join("out.model");
+    let (data, model) = (data.to_str().unwrap(), model.to_str().unwrap());
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_svm-train"), vec![data, model]),
+        (env!("CARGO_BIN_EXE_svm-scale"), vec![data]),
+    ] {
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bin}: {stderr}");
+        assert!(stderr.contains("line 2"), "{bin}: {stderr}");
+        assert!(stderr.contains("4294967297"), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Prediction memory follows the model's stored columns: neither a test
+/// row's far column nor a model's declared `ncols` sizes any buffer, so
+/// `svm-predict` runs inside a 1 GiB address space on both.
+#[cfg(unix)]
+#[test]
+fn prediction_memory_ignores_test_row_width_and_declared_ncols() {
+    let dir = workdir("prediction_memory_ignores_test_row_width_and_declared_ncols");
+    let model = |ncols: &str| {
+        // D(x) = x0 - x1
+        format!("shrinksvm-model v1\nkernel linear\nbias 0\nnsv 2 ncols {ncols}\n1 1:1\n-1 2:1\n")
+    };
+    let narrow_model = dir.join("narrow.model");
+    std::fs::write(&narrow_model, model("2")).unwrap();
+    let wide_model = dir.join("wide.model");
+    std::fs::write(&wide_model, model("4000000000")).unwrap();
+    let far_rows = dir.join("far.libsvm");
+    std::fs::write(&far_rows, "+1 1:3 2:1 4000000000:7\n-1 2:2 4000000000:1\n").unwrap();
+    let rows = dir.join("rows.libsvm");
+    std::fs::write(&rows, "+1 1:3 2:1\n-1 2:2\n").unwrap();
+    let predictions = dir.join("out.txt");
+    for (test, model) in [(&far_rows, &narrow_model), (&rows, &wide_model)] {
+        std::fs::remove_file(&predictions).ok();
+        let script = format!(
+            "ulimit -v 1048576; exec '{}' -q '{}' '{}' '{}'",
+            env!("CARGO_BIN_EXE_svm-predict"),
+            test.display(),
+            model.display(),
+            predictions.display()
+        );
+        let out = Command::new("sh").args(["-c", &script]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{script}: {stderr}");
+        let labels = std::fs::read_to_string(&predictions).unwrap();
+        assert_eq!(labels, "1\n-1\n", "{script}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

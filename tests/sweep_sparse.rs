@@ -8,7 +8,7 @@ use shrinksvm::datagen::rng::SmallRng;
 use shrinksvm::sparse::io::{read_libsvm_from, write_libsvm_to};
 use shrinksvm::sparse::ops;
 use shrinksvm::sparse::scale::Scaler;
-use shrinksvm::sparse::{CsrBuilder, CsrMatrix, Dataset, PairPad, RowView, ScratchPad};
+use shrinksvm::sparse::{ColumnMajor, CsrBuilder, CsrMatrix, Dataset, RowView, ScratchPad};
 
 /// A small random dense matrix: ~30% explicit zeros, bounded values.
 fn dense_matrix(rng: &mut SmallRng) -> (Vec<Vec<f64>>, usize) {
@@ -190,82 +190,155 @@ fn scratch_gather_is_bitwise_the_merge_join() {
     );
 }
 
+/// Fisher-Yates shuffle driven by the suite's seeded generator.
+fn shuffle<T>(rng: &mut SmallRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..i + 1));
+    }
+}
+
+/// Tally a maximal run of `run` consecutive pivot columns that every row
+/// stores: the product folds runs four, two or one column at a time, so
+/// `runs` counts runs of at least four, of two or three, and of one.
+fn tally_run(run: &mut usize, runs: &mut [usize; 3]) {
+    match *run {
+        0 => {}
+        1 => runs[2] += 1,
+        2 | 3 => runs[1] += 1,
+        _ => runs[0] += 1,
+    }
+    *run = 0;
+}
+
 #[test]
-fn pair_gather_is_bitwise_both_merge_joins() {
-    // one pad, wide enough for every width below
-    let mut pad = PairPad::new(50_000);
-    // specials on both slots' overlaps, on exactly one's, and on neither
-    let (mut on_both, mut on_one, mut off_both) = (0usize, 0usize, 0usize);
-    let (mut finite, mut nonfinite, mut same_row_pairs) = (0usize, 0usize, 0usize);
-    for (width, max_nnz, seed) in [(8u32, 8usize, 600u64), (123, 40, 601), (50_000, 120, 602)] {
+fn column_product_is_bitwise_the_merge_join() {
+    // pivot columns on the contiguous loop, on the indexed loop and past
+    // the copy's width; (row, pivot) pairs with no overlap
+    let (mut contiguous, mut indexed, mut past_width, mut no_overlap) = (0usize, 0, 0, 0);
+    let mut runs = [0usize; 3];
+    let (mut finite, mut nonfinite) = (0usize, 0usize);
+    for (width, max_nnz, seed) in [(8u32, 6usize, 700u64), (123, 40, 701), (50_000, 120, 702)] {
         let mut rng = SmallRng::seed_from_u64(seed);
-        // the last column is hot so the pad's far edge is exercised
+        // the last column is hot so the copy's far edge is exercised
         let mut hot: Vec<u32> = (0..width.min(160))
             .map(|_| rng.gen_range(0..width))
             .collect();
         hot.push(width - 1);
+        // rows 0..40 all store the six planted columns, as the datagen
+        // analogs store their teacher support; rows 40..44 store none;
+        // rows 44..48 are empty
+        let planted: Vec<u32> = (0..6).map(|p| p * (width / 6)).collect();
         let rows: Vec<BTreeMap<u32, f64>> = (0..48)
-            .map(|_| special_row(&mut rng, width, &hot, max_nnz))
+            .map(|i| {
+                let mut row = special_row(&mut rng, width, &hot, max_nnz);
+                for &c in &planted {
+                    if i < 40 {
+                        let v = if rng.gen_bool(1.0 / 6.0) {
+                            SPECIALS[rng.gen_range(0..SPECIALS.len())]
+                        } else {
+                            rng.gen_range(-50.0..50.0)
+                        };
+                        row.insert(c, v);
+                    } else {
+                        row.remove(&c);
+                    }
+                }
+                if i >= 44 {
+                    row.clear();
+                }
+                row
+            })
             .collect();
-        let parts: Vec<(Vec<u32>, Vec<f64>)> = rows
-            .iter()
-            .map(|r| (r.keys().copied().collect(), r.values().copied().collect()))
+        let mut b = CsrBuilder::new(width as usize);
+        for r in &rows {
+            b.push_row(
+                &r.keys().copied().collect::<Vec<_>>(),
+                &r.values().copied().collect::<Vec<_>>(),
+            )
+            .unwrap();
+        }
+        let x = b.finish();
+        // Row lists, each shuffled: the planted rows (their planted columns
+        // are stored by every row); the planted rows and one that stores no
+        // planted column (stored by all rows but one); every row, some
+        // twice, empty rows included; no rows.
+        let mut lists: Vec<Vec<usize>> = vec![
+            (0..40).collect(),
+            (0..41).collect(),
+            (0..48).chain([3, 17, 44]).collect(),
+            Vec::new(),
+        ];
+        for list in &mut lists {
+            shuffle(&mut rng, list);
+        }
+        // pivots: every row (empty ones included), then rows reaching past
+        // every stored column
+        let mut pivots: Vec<(Vec<u32>, Vec<f64>)> = (0..x.nrows())
+            .map(|i| (x.row(i).indices.to_vec(), x.row(i).values.to_vec()))
             .collect();
-        let view = |k: usize| RowView {
-            indices: &parts[k].0,
-            values: &parts[k].1,
-        };
-        for p0 in 0..rows.len() {
-            // every eighth pair loads one row into both slots
-            let p1 = if p0 % 8 == 0 {
-                p0
-            } else {
-                (p0 * 5 + 1) % rows.len()
-            };
-            same_row_pairs += usize::from(p0 == p1);
-            pad.load(0, view(p0));
-            pad.load(1, view(p1));
-            for (a, row) in rows.iter().enumerate() {
-                let got = pad.dots(view(a));
-                for (s, p) in [p0, p1].into_iter().enumerate() {
-                    let want = ops::dot(view(a), view(p));
+        for base in [0usize, 7, 40] {
+            let (mut idx, mut val) = pivots[base].clone();
+            idx.extend([width, width + 9, u32::MAX]);
+            val.extend([1.5, SPECIALS[base % SPECIALS.len()], -2.0]);
+            pivots.push((idx, val));
+        }
+        let mut copy = ColumnMajor::default();
+        for list in &lists {
+            // one copy rebuilt in place for every list
+            copy.rebuild(&x, list.iter().copied());
+            assert_eq!(copy.nrows(), list.len());
+            let stores = |k: usize, c: u32| rows[list[k]].contains_key(&c);
+            let mut out = vec![0.0; list.len()];
+            for (pi, (pidx, pval)) in pivots.iter().enumerate() {
+                let pivot = RowView {
+                    indices: pidx,
+                    values: pval,
+                };
+                copy.dots_into(pivot, &mut out);
+                for (k, &i) in list.iter().enumerate() {
+                    let want = ops::dot(x.row(i), pivot);
                     assert_eq!(
-                        got[s].to_bits(),
+                        out[k].to_bits(),
                         want.to_bits(),
-                        "width={width} pair=({p0}, {p1}) slot={s} row={a}: \
-                         gather {:e} vs merge-join {want:e}",
-                        got[s]
+                        "width={width} list of {} pivot={pi} row={i}: product {:e} vs \
+                         merge-join {want:e}",
+                        list.len(),
+                        out[k]
                     );
                     if want.is_finite() {
                         finite += 1;
                     } else {
                         nonfinite += 1;
                     }
+                    no_overlap += usize::from(!pidx.iter().any(|&c| stores(k, c)));
                 }
-                for (c, v) in row {
-                    if !v.is_normal() {
-                        match (rows[p0].contains_key(c), rows[p1].contains_key(c)) {
-                            (true, true) => on_both += 1,
-                            (false, false) => off_both += 1,
-                            _ => on_one += 1,
-                        }
+                let mut run = 0;
+                for &c in pidx {
+                    if c as usize >= copy.width() {
+                        past_width += 1;
+                    } else if !list.is_empty() && (0..list.len()).all(|k| stores(k, c)) {
+                        contiguous += 1;
+                        run += 1;
+                        continue;
+                    } else if (0..list.len()).any(|k| stores(k, c)) {
+                        indexed += 1;
                     }
+                    tally_run(&mut run, &mut runs);
                 }
+                tally_run(&mut run, &mut runs);
             }
-            pad.clear(0);
-            pad.clear(1);
-            assert!(!pad.is_loaded(0) && !pad.is_loaded(1));
         }
     }
     // the sweep is only evidence if every case actually occurred
-    assert!(on_both > 100, "{on_both} specials on both overlaps");
-    assert!(on_one > 100, "{on_one} specials on exactly one overlap");
-    assert!(off_both > 100, "{off_both} specials off both overlaps");
+    assert!(contiguous > 100, "{contiguous} contiguous-loop columns");
+    assert!(runs.iter().all(|&r| r > 20), "{runs:?} runs of 4+, 2-3, 1");
+    assert!(indexed > 100, "{indexed} indexed columns");
+    assert!(past_width > 20, "{past_width} pivot columns past the width");
+    assert!(no_overlap > 100, "{no_overlap} pairs without overlap");
     assert!(
         finite > 100 && nonfinite > 100,
         "{finite} finite vs {nonfinite} non-finite dots"
     );
-    assert!(same_row_pairs >= 3, "{same_row_pairs} same-row pairs");
 }
 
 #[test]

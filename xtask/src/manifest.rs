@@ -30,14 +30,11 @@ pub const LIBRARY_ROOTS: &[&str] = &[
 pub const DIST_PATHS: &[&str] = &["crates/core/src/dist"];
 
 /// The one tree allowed to call the raw gathers (it owns the
-/// scratch-buffer hazard via `ScratchPad` and `PairPad`).
+/// scratch-buffer hazard via `ScratchPad`).
 pub const SCRATCH_HOME: &str = "crates/sparse/src";
 
 /// Raw gathers over a dense scratch, each with the pad that wraps it.
-pub const SCRATCH_GATHERS: &[(&str, &str)] = &[
-    ("dot_scatter", "ScratchPad"),
-    ("dot_scatter_pair", "PairPad"),
-];
+pub const SCRATCH_GATHERS: &[(&str, &str)] = &[("dot_scatter", "ScratchPad")];
 
 /// Where the per-crate ratchet budgets live, relative to the repo root.
 pub const BUDGETS_PATH: &str = "xtask/lint_budgets.toml";

@@ -11,8 +11,7 @@
 //! |                   | whose function never charges the simulated clock          |
 //! | `budget`          | D4: per-crate unwrap/expect/unsafe/Relaxed ratchet        |
 //! | `relaxed-ordering`| `Ordering::Relaxed` without a nearby `// relaxed:` reason |
-//! | `scratch-hygiene` | raw `dot_scatter`/`dot_scatter_pair` outside              |
-//! |                   | `crates/sparse`                                           |
+//! | `scratch-hygiene` | raw `dot_scatter` outside `crates/sparse`                 |
 //!
 //! Every per-line rule reads *tokens*, so string literals, comments, raw
 //! strings and `#[cfg(test)]` items can never false-positive.

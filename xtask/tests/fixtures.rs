@@ -125,27 +125,8 @@ fn bad_scratch_outside_sparse() {
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "scratch-hygiene");
     assert_eq!(f[0].line, line_of(src, "ops::dot_scatter", 0));
-    // the same file inside the scratch home is clean
-    let g = run(
-        &[("crates/sparse/src/fixture.rs", src)],
-        &BudgetTable::new(),
-    );
-    assert!(g.is_empty(), "{g:?}");
-}
-
-#[test]
-fn bad_scratch_pair_outside_sparse() {
-    let src = include_str!("lint_fixtures/bad_scratch_pair.rs");
-    let f = run(&[("crates/core/src/fixture.rs", src)], &BudgetTable::new());
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].rule, "scratch-hygiene");
-    assert_eq!(f[0].line, line_of(src, "ops::dot_scatter_pair", 0));
-    assert!(
-        f[0].message.contains("`dot_scatter_pair`"),
-        "{}",
-        f[0].message
-    );
-    assert!(f[0].message.contains("PairPad"), "{}", f[0].message);
+    assert!(f[0].message.contains("`dot_scatter`"), "{}", f[0].message);
+    assert!(f[0].message.contains("ScratchPad"), "{}", f[0].message);
     // the same file inside the scratch home is clean
     let g = run(
         &[("crates/sparse/src/fixture.rs", src)],
