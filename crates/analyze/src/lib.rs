@@ -7,8 +7,6 @@
 //! run was communication-correct — the role TSan/MUST play for real MPI
 //! programs:
 //!
-//! - [`vclock::VectorClock`] — per-rank logical clocks attached to every
-//!   message, checked for happens-before consistency at receive time.
 //! - [`ledger::CollectiveLedger`] — a per-universe ledger of collective
 //!   fingerprints that catches rank-divergent collective sequences (the
 //!   classic mismatched-`Bcast`/`Allreduce` bug) at the first divergent
@@ -17,8 +15,8 @@
 //!   diagnosis, so a communication deadlock is reported immediately with a
 //!   full per-rank wait report instead of a wall-clock timeout.
 //! - [`report::ValidationReport`] — finalize-time findings: unreceived
-//!   messages, never-matched buffered messages, logical-clock regressions,
-//!   LogGP cost-model violations and tag-discipline breaches.
+//!   messages, never-matched buffered messages and tag-discipline
+//!   breaches.
 //! - [`fault::FaultEvent`] — the fault-injection ledger: when the
 //!   substrate runs under a fault plan, every injected fault and every
 //!   transport recovery action is recorded here and rendered with the
@@ -31,11 +29,9 @@
 pub mod fault;
 pub mod ledger;
 pub mod report;
-pub mod vclock;
 pub mod waitfor;
 
 pub use fault::FaultEvent;
 pub use ledger::{CollectiveDivergence, CollectiveKind, CollectiveLedger, Fingerprint};
 pub use report::{ValidationReport, Violation};
-pub use vclock::VectorClock;
 pub use waitfor::{DeadlockReport, RankState, WaitEdge, WaitForGraph};

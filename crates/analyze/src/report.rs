@@ -17,35 +17,6 @@ pub enum Violation {
         /// `"send"`, `"recv"` or `"irecv"`.
         op: &'static str,
     },
-    /// A received message's vector clock regressed: its source component
-    /// was not strictly greater than the last one seen from that source —
-    /// the link reordered, duplicated or fabricated a message.
-    ClockRegression {
-        /// Receiving rank.
-        rank: usize,
-        /// Source rank.
-        src: usize,
-        /// Source clock component previously seen.
-        prev: u64,
-        /// Source clock component on the offending message.
-        got: u64,
-        /// Tag of the offending message.
-        tag: u64,
-    },
-    /// The receiver's simulated clock after accepting a message was below
-    /// the LogGP lower bound `depart + latency + bytes·G`.
-    LogGpViolation {
-        /// Receiving rank.
-        rank: usize,
-        /// Source rank.
-        src: usize,
-        /// Tag of the offending message.
-        tag: u64,
-        /// The minimum legal receive-side clock.
-        expect_min: f64,
-        /// The clock actually observed.
-        got: f64,
-    },
     /// A message was sent but never received: it was still sitting in the
     /// destination's inbox when the rank finished.
     UnreceivedMessage {
@@ -79,28 +50,6 @@ impl fmt::Display for Violation {
                 f,
                 "tag discipline: rank {rank} called {op} with tag {tag:#x}, \
                  which is inside the reserved collective namespace"
-            ),
-            Violation::ClockRegression {
-                rank,
-                src,
-                prev,
-                got,
-                tag,
-            } => write!(
-                f,
-                "happens-before: rank {rank} received a message (tag {tag:#x}) from rank {src} \
-                 whose source clock {got} does not exceed the previously observed {prev}"
-            ),
-            Violation::LogGpViolation {
-                rank,
-                src,
-                tag,
-                expect_min,
-                got,
-            } => write!(
-                f,
-                "LogGP consistency: rank {rank} accepted a message (tag {tag:#x}) from rank {src} \
-                 at simulated time {got} < legal minimum {expect_min}"
             ),
             Violation::UnreceivedMessage {
                 src,

@@ -77,10 +77,8 @@ impl CacheStats {
 /// An LRU cache of full kernel rows.
 ///
 /// Fetch a row with [`lookup`](Self::lookup), and on a miss hand the
-/// computed row to [`fill`](Self::fill);
-/// [`get_or_compute`](Self::get_or_compute) does both for one row. The
-/// distributed sweep looks up its up and low pivots, in that order, before
-/// it fills either, so two missed rows can share one gather pass while the
+/// computed row to [`fill`](Self::fill). The distributed sweep looks up its
+/// up and low pivots, in that order, before it fills either, so the
 /// counters and the LRU order stay those of two fetches in a row.
 #[derive(Debug)]
 #[allow(clippy::disallowed_types)]
@@ -95,9 +93,9 @@ pub struct KernelCache {
 }
 
 impl KernelCache {
-    /// A cache holding at most `capacity_rows` rows (each `row_len` values).
+    /// A cache holding at most `capacity_rows` rows.
     #[allow(clippy::disallowed_types)]
-    pub fn with_capacity_rows(capacity_rows: usize) -> Self {
+    fn with_capacity_rows(capacity_rows: usize) -> Self {
         KernelCache {
             map: HashMap::new(),
             nodes: Vec::new(),
@@ -142,20 +140,6 @@ impl KernelCache {
     /// Counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Fetch row `key`, computing it with `compute` on a miss: a
-    /// [`lookup`](Self::lookup), then a [`fill`](Self::fill) when it
-    /// missed. Never stores anything when the capacity is zero (every call
-    /// recomputes).
-    pub fn get_or_compute<F>(&mut self, key: usize, compute: F) -> Arc<Vec<f64>>
-    where
-        F: FnOnce() -> Vec<f64>,
-    {
-        match self.lookup(key) {
-            Lookup::Hit(row) => row,
-            Lookup::Miss(ticket) => self.fill(ticket, compute()),
-        }
     }
 
     /// Look row `key` up. A hit counts and moves the row to the front. A
@@ -228,9 +212,10 @@ impl KernelCache {
         }
     }
 
-    /// Drop every cached row (the solver calls this when α deltas
-    /// invalidate nothing — rows are α-independent — so this exists for
-    /// tests and memory pressure, not correctness).
+    /// Drop every cached row. Rows do not depend on α, but the distributed
+    /// solver's rows are positional over its active list, so it clears the
+    /// cache on every gradient reconstruction and checkpoint restore, where
+    /// that list is rebuilt wholesale.
     pub fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
@@ -313,12 +298,20 @@ mod tests {
         vec![v; 4]
     }
 
+    /// Fetch one row: a lookup, then a fill when it missed.
+    fn fetch(c: &mut KernelCache, key: usize, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
+        match c.lookup(key) {
+            Lookup::Hit(row) => row,
+            Lookup::Miss(ticket) => c.fill(ticket, compute()),
+        }
+    }
+
     #[test]
     fn hit_after_miss() {
         let mut c = KernelCache::with_capacity_rows(2);
-        let a = c.get_or_compute(7, || row(7.0));
+        let a = fetch(&mut c, 7, || row(7.0));
         assert_eq!(a[0], 7.0);
-        let b = c.get_or_compute(7, || panic!("must not recompute"));
+        let b = fetch(&mut c, 7, || panic!("must not recompute"));
         assert_eq!(b[0], 7.0);
         assert_eq!(
             c.stats(),
@@ -334,15 +327,15 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = KernelCache::with_capacity_rows(2);
-        c.get_or_compute(1, || row(1.0));
-        c.get_or_compute(2, || row(2.0));
-        c.get_or_compute(1, || unreachable!()); // touch 1: now 2 is LRU
-        c.get_or_compute(3, || row(3.0)); // evicts 2
+        fetch(&mut c, 1, || row(1.0));
+        fetch(&mut c, 2, || row(2.0));
+        fetch(&mut c, 1, || unreachable!()); // touch 1: now 2 is LRU
+        fetch(&mut c, 3, || row(3.0)); // evicts 2
         assert_eq!(c.len(), 2);
-        c.get_or_compute(1, || panic!("1 must still be cached"));
-        c.get_or_compute(3, || panic!("3 must still be cached"));
+        fetch(&mut c, 1, || panic!("1 must still be cached"));
+        fetch(&mut c, 3, || panic!("3 must still be cached"));
         let mut recomputed = false;
-        c.get_or_compute(2, || {
+        fetch(&mut c, 2, || {
             recomputed = true;
             row(2.0)
         });
@@ -354,7 +347,7 @@ mod tests {
     fn capacity_never_exceeded() {
         let mut c = KernelCache::with_capacity_rows(3);
         for k in 0..50 {
-            c.get_or_compute(k, || row(k as f64));
+            fetch(&mut c, k, || row(k as f64));
             assert!(c.len() <= 3);
         }
         assert_eq!(c.stats().misses, 50);
@@ -366,7 +359,7 @@ mod tests {
         let mut c = KernelCache::with_capacity_rows(0);
         let mut computes = 0;
         for _ in 0..3 {
-            c.get_or_compute(1, || {
+            fetch(&mut c, 1, || {
                 computes += 1;
                 row(1.0)
             });
@@ -393,20 +386,20 @@ mod tests {
     #[test]
     fn outstanding_arcs_survive_eviction() {
         let mut c = KernelCache::with_capacity_rows(1);
-        let held = c.get_or_compute(1, || row(1.0));
-        c.get_or_compute(2, || row(2.0)); // evicts 1
+        let held = fetch(&mut c, 1, || row(1.0));
+        fetch(&mut c, 2, || row(2.0)); // evicts 1
         assert_eq!(held[0], 1.0); // still alive through our Arc
     }
 
     #[test]
     fn clear_empties() {
         let mut c = KernelCache::with_capacity_rows(4);
-        c.get_or_compute(1, || row(1.0));
-        c.get_or_compute(2, || row(2.0));
+        fetch(&mut c, 1, || row(1.0));
+        fetch(&mut c, 2, || row(2.0));
         c.clear();
         assert!(c.is_empty());
         let mut recomputed = false;
-        c.get_or_compute(1, || {
+        fetch(&mut c, 1, || {
             recomputed = true;
             row(1.0)
         });
@@ -428,12 +421,12 @@ mod tests {
     #[test]
     fn insertions_counted_only_when_stored() {
         let mut c = KernelCache::with_capacity_rows(0);
-        c.get_or_compute(1, || row(1.0));
+        fetch(&mut c, 1, || row(1.0));
         assert_eq!(c.stats().insertions, 0, "capacity 0 never stores");
         let mut c = KernelCache::with_capacity_rows(1);
-        c.get_or_compute(1, || row(1.0));
-        c.get_or_compute(2, || row(2.0)); // evicts 1, inserts 2
-        c.get_or_compute(2, || unreachable!()); // hit: no insert
+        fetch(&mut c, 1, || row(1.0));
+        fetch(&mut c, 2, || row(2.0)); // evicts 1, inserts 2
+        fetch(&mut c, 2, || unreachable!()); // hit: no insert
         assert_eq!(c.stats().insertions, 2);
         assert_eq!(c.stats().evictions, 1);
     }
@@ -441,13 +434,13 @@ mod tests {
     #[test]
     fn resize_rows_compacts_every_cached_row() {
         let mut c = KernelCache::with_capacity_rows(4);
-        c.get_or_compute(10, || vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        c.get_or_compute(20, || vec![5.0, 6.0, 7.0, 8.0, 9.0]);
-        let held = c.get_or_compute(10, || unreachable!());
+        fetch(&mut c, 10, || vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        fetch(&mut c, 20, || vec![5.0, 6.0, 7.0, 8.0, 9.0]);
+        let held = fetch(&mut c, 10, || unreachable!());
         // Positions 0, 2, 4 survive the shrink pass.
         c.resize_rows(&[0, 2, 4]);
-        let r10 = c.get_or_compute(10, || panic!("10 must still be cached"));
-        let r20 = c.get_or_compute(20, || panic!("20 must still be cached"));
+        let r10 = fetch(&mut c, 10, || panic!("10 must still be cached"));
+        let r20 = fetch(&mut c, 20, || panic!("20 must still be cached"));
         assert_eq!(*r10, vec![0.0, 2.0, 4.0]);
         assert_eq!(*r20, vec![5.0, 7.0, 9.0]);
         // Clones taken before compaction keep the old span.
@@ -461,8 +454,9 @@ mod tests {
         assert!(c.is_empty());
     }
 
-    /// `get_or_compute` as it stood before the lookup/fill split: compute,
-    /// then evict and insert. The reference the split must reproduce.
+    /// The one-call fetch as it stood before the lookup/fill split:
+    /// compute, then evict and insert. The reference the split must
+    /// reproduce.
     fn reference_get_or_compute(
         c: &mut KernelCache,
         key: usize,
@@ -577,8 +571,8 @@ mod tests {
         let row = |k: usize| vec![k as f64; 3];
         // full at capacity 2, with 1 least recently used
         let mut c = KernelCache::with_capacity_rows(2);
-        c.get_or_compute(1, || row(1));
-        c.get_or_compute(2, || row(2));
+        fetch(&mut c, 1, || row(1));
+        fetch(&mut c, 2, || row(2));
         let Lookup::Miss(up) = c.lookup(3) else {
             panic!("3 was never cached")
         };
@@ -604,7 +598,7 @@ mod tests {
         // row is returned but not stored, as compute-then-insert would
         // have had it evicted by low's insert
         let mut c = KernelCache::with_capacity_rows(1);
-        c.get_or_compute(9, || row(9));
+        fetch(&mut c, 9, || row(9));
         let (Lookup::Miss(up), Lookup::Miss(low)) = (c.lookup(3), c.lookup(1)) else {
             panic!("both miss")
         };
@@ -622,7 +616,7 @@ mod tests {
         let mut c = KernelCache::with_capacity_rows(2);
         for round in 0..10 {
             for k in 0..4 {
-                let v = c.get_or_compute(k, || row(k as f64));
+                let v = fetch(&mut c, k, || row(k as f64));
                 assert_eq!(v[0], k as f64, "round {round}");
             }
         }

@@ -236,11 +236,9 @@ impl<'a> DistSolver<'a> {
     }
 
     /// Run the solver under the substrate's full communication validation
-    /// ([`Universe::validated`]): vector-clock happens-before checks,
-    /// collective lockstep fingerprints, message conservation and tag
-    /// discipline. Training panics with the validation report if the
-    /// communication pattern is incorrect. Adds `O(p)` bookkeeping per
-    /// message, so it is off by default.
+    /// ([`Universe::validated`]): collective lockstep fingerprints, message
+    /// conservation and tag discipline. Training panics with the validation
+    /// report if the communication pattern is incorrect. Off by default.
     pub fn with_validation(mut self) -> Self {
         self.validate = true;
         self

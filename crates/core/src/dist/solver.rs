@@ -48,11 +48,6 @@ use crate::smo::state::{bound_tol, classify, in_low_set, in_up_set, IndexSet};
 use crate::smo::update::solve_pair_weighted;
 use crate::trace::RankTrace;
 
-/// Rows held by the pivot-pair memo (the `k_uu/k_ll/k_ul` triple per
-/// selected pair). The same worst-violator pair is reselected across
-/// consecutive iterations, so a handful of entries is plenty.
-const PAIR_MEMO_ROWS: usize = 16;
-
 /// Default solver telemetry cadence: the KKT gap is sampled into the
 /// metrics registry once per this many iterations (an "epoch"), keyed on
 /// the iteration counter — never wall time.
@@ -139,7 +134,6 @@ impl<'r> PivotRequest<'r> {
 struct PivotRow {
     row: Arc<Vec<f64>>,
     cost: f64,
-    alt: f64,
     evals: u64,
 }
 
@@ -241,9 +235,6 @@ pub(crate) struct RankState<'a> {
     /// LRU cache of pivot kernel rows over the active span, keyed by
     /// global pivot index. `None` when `params.cache_bytes == 0`.
     row_cache: Option<KernelCache>,
-    /// Memo of the `[k_uu, k_ll, k_ul]` triple, keyed by the packed pair
-    /// `(up << 32) | low`. Enabled together with `row_cache`.
-    pair_cache: Option<KernelCache>,
     /// Iterations remaining until the next shrink pass (`None` = never).
     shrink_countdown: Option<u64>,
     initial_threshold: Option<u64>,
@@ -284,7 +275,6 @@ impl<'a> RankState<'a> {
         let policy: ShrinkPolicy = cfg.params.shrink;
         let initial_threshold = policy.initial_threshold(ds.len());
         debug_assert!(ln <= u32::MAX as usize, "local block exceeds u32 index");
-        let cache_on = cfg.params.cache_bytes > 0;
         let mut st = RankState {
             ds,
             kind: cfg.params.kernel,
@@ -301,9 +291,8 @@ impl<'a> RankState<'a> {
             lanes: cfg.threads.max(1),
             dots: cfg.dots,
             active_cols: ColumnMajor::default(),
-            row_cache: cache_on
+            row_cache: (cfg.params.cache_bytes > 0)
                 .then(|| KernelCache::with_byte_budget(cfg.params.cache_bytes, ln.max(1))),
-            pair_cache: cache_on.then(|| KernelCache::with_capacity_rows(PAIR_MEMO_ROWS)),
             shrink_countdown: initial_threshold,
             initial_threshold,
             subsequent: policy.subsequent,
@@ -357,16 +346,13 @@ impl<'a> RankState<'a> {
         }
     }
 
-    /// Drop every cached kernel value. Called wherever the active span is
+    /// Drop every cached kernel row. Called wherever the active span is
     /// rebuilt wholesale (reconstruction reactivates every shrunk sample;
     /// a checkpoint restore replaces the active flags), since cached rows
     /// are positional over the active list and would silently misalign.
     fn invalidate_caches(&mut self) {
         if let Some(rc) = &mut self.row_cache {
             rc.clear();
-        }
-        if let Some(pc) = &mut self.pair_cache {
-            pc.clear();
         }
     }
 
@@ -627,21 +613,14 @@ impl<'a> RankState<'a> {
     /// one [`Self::fill_pivot_row`] over the active copy. Each row's charge:
     ///
     /// * miss / cache off: its column's fill charge;
-    /// * hit: one [`ComputeCharge::cache_lookup`] plus the dense fma sweep
-    ///   (`max_chunk · fma_per_elem`) — the λ the cache saved is exactly
-    ///   what is *not* charged, so simulated time reflects the reuse.
-    ///
-    /// `alt` is always the hit-path cost: what this acquisition would
-    /// charge under an infinitely large, fully warm kernel cache. It feeds
-    /// the PerfDoctor `infinite_cache` what-if projection and never touches
-    /// the clock.
+    /// * hit: [`Self::hit_cost`] — the λ the cache saved is exactly what is
+    ///   *not* charged, so simulated time reflects the reuse.
     fn acquire_pivot_rows(
         &mut self,
         pivots: [Option<PivotRequest<'_>>; 2],
     ) -> [Option<PivotRow>; 2] {
         let m = self.active_list.len();
-        let max_chunk = m.div_ceil(self.lanes.min(m).max(1));
-        let hit_cost = self.charge.cache_lookup + max_chunk as f64 * self.charge.fma_per_elem;
+        let hit_cost = self.hit_cost();
         let mut acquired: [Option<PivotRow>; 2] = [None, None];
         // Requested rows to fill, in side order, each with its cache
         // ticket (`None` with the cache off).
@@ -654,7 +633,6 @@ impl<'a> RankState<'a> {
                     acquired[side] = Some(PivotRow {
                         row,
                         cost: hit_cost,
-                        alt: hit_cost,
                         evals: 0,
                     });
                 }
@@ -673,7 +651,6 @@ impl<'a> RankState<'a> {
             acquired[side] = Some(PivotRow {
                 row,
                 cost,
-                alt: hit_cost,
                 evals: m as u64,
             });
         }
@@ -681,72 +658,27 @@ impl<'a> RankState<'a> {
         acquired
     }
 
-    /// `k_uu, k_ll, k_ul` for the selected pair — memoized when caching is
-    /// enabled, since the worst-violator pair is frequently reselected
-    /// across consecutive iterations. Returns
-    /// `(k_uu, k_ll, k_ul, sim_cost, alt_cost, evals)`, where `alt_cost`
-    /// is the memo-hit cost (one cache lookup) — the infinite-cache
-    /// what-if charge. Kernel values are pure functions of the pair
-    /// indices, so memoized entries never go stale.
-    #[allow(clippy::type_complexity)]
-    fn pivot_triple(
-        &mut self,
-        sup: &PairSample,
-        slow: &PairSample,
-    ) -> (f64, f64, f64, f64, f64, u64) {
-        let kind = self.kind;
-        let compute = || {
-            let (rup, rlow) = (sup.row(), slow.row());
-            vec![
-                kind.eval(rup, rup, sup.sq_norm, sup.sq_norm),
-                kind.eval(rlow, rlow, slow.sq_norm, slow.sq_norm),
-                kind.eval(rup, rlow, sup.sq_norm, slow.sq_norm),
-            ]
-        };
-        if let Some(pc) = &mut self.pair_cache {
-            // Packed-pair key, built in u64 so the shift is well-defined on
-            // every platform; global indices fit u32 (sparse column ids
-            // already impose that bound on the datasets we target). The
-            // `as usize` is lossless on the 64-bit targets we build for —
-            // a truncating platform would alias keys, hence the assert.
-            const { assert!(usize::BITS >= 64, "pair memo needs 64-bit keys") };
-            debug_assert!(sup.index <= u64::from(u32::MAX) && slow.index <= u64::from(u32::MAX));
-            let key = ((sup.index << 32) | slow.index) as usize;
-            let mut computed = false;
-            let row = pc.get_or_compute(key, || {
-                computed = true;
-                compute()
-            });
-            if computed {
-                (
-                    row[0],
-                    row[1],
-                    row[2],
-                    self.charge.pair_triple(),
-                    self.charge.cache_lookup,
-                    3,
-                )
-            } else {
-                (
-                    row[0],
-                    row[1],
-                    row[2],
-                    self.charge.cache_lookup,
-                    self.charge.cache_lookup,
-                    0,
-                )
-            }
-        } else {
-            let v = compute();
-            (
-                v[0],
-                v[1],
-                v[2],
-                self.charge.pair_triple(),
-                self.charge.cache_lookup,
-                3,
-            )
-        }
+    /// `k_uu, k_ll, k_ul` for the selected pair, evaluated afresh every
+    /// iteration (Algorithm 2) and charged as one
+    /// [`ComputeCharge::pair_triple`].
+    fn pivot_triple(&self, sup: &PairSample, slow: &PairSample) -> [f64; 3] {
+        let (rup, rlow) = (sup.row(), slow.row());
+        [
+            self.kind.eval(rup, rup, sup.sq_norm, sup.sq_norm),
+            self.kind.eval(rlow, rlow, slow.sq_norm, slow.sq_norm),
+            self.kind.eval(rup, rlow, sup.sq_norm, slow.sq_norm),
+        ]
+    }
+
+    /// What acquiring one pivot row charges on a cache hit: one
+    /// [`ComputeCharge::cache_lookup`] plus the dense fma sweep over the
+    /// widest lane (`max_chunk · fma_per_elem`). It is also the row's
+    /// charge under an infinitely large, fully warm cache, which feeds the
+    /// PerfDoctor `infinite_cache` what-if and never touches the clock.
+    fn hit_cost(&self) -> f64 {
+        let m = self.active_list.len();
+        let max_chunk = m.div_ceil(self.lanes.min(m).max(1));
+        self.charge.cache_lookup + max_chunk as f64 * self.charge.fma_per_elem
     }
 
     /// One optimization phase: iterate until `β_up + 2·phase_eps > β_low`
@@ -829,8 +761,7 @@ impl<'a> RankState<'a> {
                     up.index, low.index
                 )));
             };
-            let (k_uu, k_ll, k_ul, triple_cost, triple_alt, triple_evals) =
-                self.pivot_triple(&sup, &slow);
+            let [k_uu, k_ll, k_ul] = self.pivot_triple(&sup, &slow);
             let c_up = if sup.y > 0.0 { self.c_pos } else { self.c_neg };
             let c_lo = if slow.y > 0.0 { self.c_pos } else { self.c_neg };
             let sol = solve_pair_weighted(
@@ -871,9 +802,11 @@ impl<'a> RankState<'a> {
             let shrink_pass = shrink_enabled && self.shrink_countdown == Some(0);
             let m = self.active_list.len();
             let sweep_t0 = comm.clock();
-            let mut sweep_cost = triple_cost;
-            let mut sweep_alt = triple_alt;
-            let mut evals = triple_evals;
+            // The triple's infinite-cache alternative is one cache lookup.
+            let mut sweep_cost = self.charge.pair_triple();
+            let mut sweep_alt = self.charge.cache_lookup;
+            let mut evals = 3;
+            let hit_cost = self.hit_cost();
             let [row_up, row_low] = self.acquire_pivot_rows([
                 PivotRequest::when_nonzero(cu, up.index, &sup),
                 PivotRequest::when_nonzero(cl, low.index, &slow),
@@ -881,7 +814,7 @@ impl<'a> RankState<'a> {
             // up's charge first, then low's, as the rows were once filled
             for r in [&row_up, &row_low].into_iter().flatten() {
                 sweep_cost += r.cost;
-                sweep_alt += r.alt;
+                sweep_alt += hit_cost;
                 evals += r.evals;
             }
             let (row_up, row_low) = (row_up.map(|r| r.row), row_low.map(|r| r.row));

@@ -11,6 +11,7 @@
 //! — this is the paper's `λ` (Table I).
 
 use crate::error::CoreError;
+use crate::params::finite_positive;
 use shrinksvm_sparse::{ops, CsrMatrix, RowView};
 
 /// Kernel family and parameters.
@@ -49,21 +50,31 @@ impl KernelKind {
         }
     }
 
-    /// Check parameter ranges.
+    /// Check parameter ranges: γ finite and positive, `coef0` finite and
+    /// the polynomial degree at least 1.
     pub fn validate(&self) -> Result<(), CoreError> {
-        let ok = match self {
-            KernelKind::Rbf { gamma } => *gamma > 0.0,
-            KernelKind::Linear => true,
-            KernelKind::Poly { gamma, degree, .. } => *gamma > 0.0 && *degree >= 1,
-            KernelKind::Sigmoid { gamma, .. } => *gamma > 0.0,
+        let (gamma, coef0, degree) = match *self {
+            KernelKind::Rbf { gamma } => (gamma, 0.0, 1),
+            KernelKind::Linear => return Ok(()),
+            KernelKind::Poly {
+                gamma,
+                coef0,
+                degree,
+            } => (gamma, coef0, degree),
+            KernelKind::Sigmoid { gamma, coef0 } => (gamma, coef0, 1),
         };
-        if ok {
-            Ok(())
+        let bad = if !finite_positive(gamma) {
+            format!("gamma must be finite and positive, got {gamma}")
+        } else if !coef0.is_finite() {
+            format!("coef0 must be finite, got {coef0}")
+        } else if degree < 1 {
+            "degree must be at least 1".into()
         } else {
-            Err(CoreError::BadParams(format!(
-                "invalid kernel parameters: {self:?}"
-            )))
-        }
+            return Ok(());
+        };
+        Err(CoreError::BadParams(format!(
+            "invalid kernel parameters {self:?}: {bad}"
+        )))
     }
 
     /// Evaluate on two rows given their squared norms (norms are only used

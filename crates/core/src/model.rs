@@ -209,6 +209,9 @@ impl SvmModel {
             },
             _ => return Err(CoreError::ModelFormat(format!("bad kernel line '{kline}'"))),
         };
+        kernel
+            .validate()
+            .map_err(|e| CoreError::ModelFormat(format!("bad kernel line '{kline}': {e}")))?;
         let bline = next("bias line")?;
         let bias = match bline.split_whitespace().collect::<Vec<_>>().as_slice() {
             ["bias", b] => parse(b)?,
@@ -373,6 +376,25 @@ mod tests {
             let r = SvmModel::read_from(&text.as_bytes()[..cut]);
             if cut <= body_start {
                 assert!(r.is_err(), "{cut}-byte prefix parsed as a model");
+            }
+        }
+    }
+
+    #[test]
+    fn read_rejects_kernel_parameters_training_rejects() {
+        for (kline, name) in [
+            ("kernel rbf inf", "gamma"),
+            ("kernel rbf 0", "gamma"),
+            ("kernel poly 1 nan 3", "coef0"),
+            ("kernel poly 1 0 0", "degree"),
+            ("kernel sigmoid -inf 0", "gamma"),
+        ] {
+            let text = format!("shrinksvm-model v1\n{kline}\nbias 0\nnsv 1 ncols 1\n1 1:1\n");
+            match SvmModel::read_from(text.as_bytes()) {
+                Err(CoreError::ModelFormat(msg)) => {
+                    assert!(msg.contains(kline) && msg.contains(name), "{msg}");
+                }
+                other => panic!("{kline} accepted: {other:?}"),
             }
         }
     }

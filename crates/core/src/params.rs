@@ -27,8 +27,7 @@ pub struct SvmParams {
     /// Kernel-cache budget in bytes (`0` disables). The
     /// sequential/multicore baseline caches full kernel rows; the
     /// distributed solver uses the same budget per rank for a
-    /// shrink-aware pivot-row cache over its active span (plus a small
-    /// fixed-size memo of the selected pair's `k_uu/k_ll/k_ul` triple).
+    /// shrink-aware pivot-row cache over its active span.
     pub cache_bytes: usize,
     /// Degenerate-curvature floor.
     pub tau: f64,
@@ -122,34 +121,32 @@ impl SvmParams {
         self
     }
 
-    /// Validate ranges; called by the solvers before training.
-    // `!(x > 0.0)` is deliberate: it rejects NaN, which `x <= 0.0` lets through.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    /// Validate ranges; called by the solvers before training. C, ε, τ and
+    /// both class weights must be finite and positive: an infinite C leaves
+    /// no multiplier inside the bound tolerance, and an infinite ε stops
+    /// training before the first iteration.
     pub fn validate(&self) -> Result<(), CoreError> {
-        if !(self.c > 0.0) {
-            return Err(CoreError::BadParams(format!(
-                "C must be positive, got {}",
-                self.c
-            )));
+        let (w_pos, w_neg) = self.class_weights;
+        for (name, v) in [
+            ("C", self.c),
+            ("epsilon", self.epsilon),
+            ("tau", self.tau),
+            ("class weight w+", w_pos),
+            ("class weight w-", w_neg),
+        ] {
+            if !finite_positive(v) {
+                return Err(CoreError::BadParams(format!(
+                    "{name} must be finite and positive, got {v}"
+                )));
+            }
         }
-        if !(self.epsilon > 0.0) {
-            return Err(CoreError::BadParams(format!(
-                "epsilon must be positive, got {}",
-                self.epsilon
-            )));
-        }
-        if !(self.tau > 0.0) {
-            return Err(CoreError::BadParams("tau must be positive".into()));
-        }
-        if !(self.class_weights.0 > 0.0 && self.class_weights.1 > 0.0) {
-            return Err(CoreError::BadParams(format!(
-                "class weights must be positive, got {:?}",
-                self.class_weights
-            )));
-        }
-        self.kernel.validate()?;
-        Ok(())
+        self.kernel.validate()
     }
+}
+
+/// `v` is finite and above zero (NaN is neither).
+pub(crate) fn finite_positive(v: f64) -> bool {
+    v.is_finite() && v > 0.0
 }
 
 #[cfg(test)]
@@ -180,5 +177,52 @@ mod tests {
         assert!(SvmParams::new(1.0, KernelKind::Rbf { gamma: -1.0 })
             .validate()
             .is_err());
+        // every parameter, at ±∞ and NaN; the error names it
+        let base = SvmParams::new(1.0, KernelKind::Rbf { gamma: 0.5 });
+        assert!(base.validate().is_ok());
+        let poly = |gamma, coef0| KernelKind::Poly {
+            gamma,
+            coef0,
+            degree: 3,
+        };
+        let sigmoid = |gamma, coef0| KernelKind::Sigmoid { gamma, coef0 };
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let bad: [(&str, SvmParams); 11] = [
+                (
+                    "C",
+                    SvmParams {
+                        c: v,
+                        ..base.clone()
+                    },
+                ),
+                ("epsilon", base.clone().with_epsilon(v)),
+                (
+                    "tau",
+                    SvmParams {
+                        tau: v,
+                        ..base.clone()
+                    },
+                ),
+                ("w+", base.clone().with_class_weights(v, 1.0)),
+                ("w-", base.clone().with_class_weights(1.0, v)),
+                ("gamma", SvmParams::new(1.0, KernelKind::Rbf { gamma: v })),
+                ("gamma", SvmParams::new(1.0, poly(v, 0.0))),
+                ("gamma", SvmParams::new(1.0, sigmoid(v, 0.0))),
+                ("coef0", SvmParams::new(1.0, poly(1.0, v))),
+                ("coef0", SvmParams::new(1.0, sigmoid(1.0, v))),
+                (
+                    "gamma",
+                    SvmParams::new(1.0, KernelKind::rbf_from_sigma_sq(0.0)),
+                ),
+            ];
+            for (name, p) in bad {
+                match p.validate() {
+                    Err(CoreError::BadParams(msg)) => assert!(msg.contains(name), "{v}: {msg}"),
+                    other => panic!("{name} = {v} accepted: {other:?}"),
+                }
+            }
+        }
+        // a finite negative coef0 is legal
+        assert!(SvmParams::new(1.0, poly(1.0, -2.0)).validate().is_ok());
     }
 }

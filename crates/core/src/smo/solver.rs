@@ -14,7 +14,7 @@ use shrinksvm_obs::MetricsRegistry;
 use shrinksvm_sparse::Dataset;
 use shrinksvm_threads::ThreadPool;
 
-use crate::cache::{CacheStats, KernelCache};
+use crate::cache::{CacheStats, KernelCache, Lookup};
 use crate::dist::solver::metrics_epoch;
 use crate::error::CoreError;
 use crate::kernel::{check_finite_rows, KernelEval};
@@ -246,8 +246,8 @@ impl<'a> SmoSolver<'a> {
         })
     }
 
-    /// Fetch (or compute, in parallel when a pool is attached) the full
-    /// kernel row for sample `i`.
+    /// Look up the full kernel row for sample `i`, computing it on a miss
+    /// (in parallel when a pool is attached).
     fn kernel_row(
         &self,
         ke: &KernelEval<'_>,
@@ -255,26 +255,27 @@ impl<'a> SmoSolver<'a> {
         i: usize,
         n: usize,
     ) -> Arc<Vec<f64>> {
-        let pool = self.pool;
-        cache.get_or_compute(i, || {
-            let mut row = vec![0.0f64; n];
-            match pool {
-                Some(pool) => {
-                    let x = ke.matrix();
-                    let ri = x.row(i);
-                    let sqi = ke.sq_norm(i);
-                    let kind = ke.kind();
-                    pool.parallel_for_slices(&mut row, |off, chunk| {
-                        for (k, slot) in chunk.iter_mut().enumerate() {
-                            let j = off + k;
-                            *slot = kind.eval(ri, x.row(j), sqi, ke.sq_norm(j));
-                        }
-                    });
-                }
-                None => ke.fill_row(i, &mut row),
+        let ticket = match cache.lookup(i) {
+            Lookup::Hit(row) => return row,
+            Lookup::Miss(ticket) => ticket,
+        };
+        let mut row = vec![0.0f64; n];
+        match self.pool {
+            Some(pool) => {
+                let x = ke.matrix();
+                let ri = x.row(i);
+                let sqi = ke.sq_norm(i);
+                let kind = ke.kind();
+                pool.parallel_for_slices(&mut row, |off, chunk| {
+                    for (k, slot) in chunk.iter_mut().enumerate() {
+                        let j = off + k;
+                        *slot = kind.eval(ri, x.row(j), sqi, ke.sq_norm(j));
+                    }
+                });
             }
-            row
-        })
+            None => ke.fill_row(i, &mut row),
+        }
+        cache.fill(ticket, row)
     }
 }
 

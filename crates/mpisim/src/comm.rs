@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use shrinksvm_analyze::{FaultEvent, VectorClock, Violation, WaitEdge};
+use shrinksvm_analyze::{FaultEvent, Violation, WaitEdge};
 use shrinksvm_obs::critpath::{DepEvent, DepRecorder};
 use shrinksvm_obs::flight::FlightRecorder;
 use shrinksvm_obs::timeline::{Event, TrackRecorder};
@@ -48,10 +48,9 @@ pub struct Comm {
     stats: CommStats,
     pub(crate) coll_seq: u64,
     fabric: Arc<Fabric>,
-    /// This rank's vector clock (maintained only under validation).
-    vc: VectorClock,
-    /// Highest source-clock component seen per source (FIFO monotonicity).
-    last_src_clock: Vec<u64>,
+    /// Per-source `link_seq` the next message taken off that link must
+    /// carry (see [`Comm::on_dequeue`]).
+    recv_seq: Vec<u64>,
     /// Absolute fallback bound on a single blocked wait, for pathologies
     /// the wait-for graph cannot see (e.g. a peer spinning forever in
     /// compute). Configurable via
@@ -112,8 +111,7 @@ impl Comm {
             stats: CommStats::default(),
             coll_seq: 0,
             fabric,
-            vc: VectorClock::new(size),
-            last_src_clock: vec![0; size],
+            recv_seq: vec![0; size],
             liveness,
             faults,
             fault_hits: vec![0; fault_hits],
@@ -226,12 +224,6 @@ impl Comm {
         self.stats
     }
 
-    /// This rank's vector clock (all zeros unless the universe was built
-    /// with [`crate::Universe::validated`]).
-    pub fn vector_clock(&self) -> &VectorClock {
-        &self.vc
-    }
-
     /// Charge `secs` of computation to this rank's simulated clock. Under
     /// an installed fault plan, active slowdown rules inflate the charge
     /// and due crash rules kill the rank.
@@ -330,12 +322,6 @@ impl Comm {
         self.maybe_crash();
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += payload.len() as u64;
-        let vclock = if self.fabric.validate {
-            self.vc.tick(self.rank);
-            Some(self.vc.clone())
-        } else {
-            None
-        };
         let link_seq = self.send_seq[dst];
         self.send_seq[dst] += 1;
         if let Some(dep) = &mut self.dep {
@@ -348,7 +334,6 @@ impl Comm {
                 tag,
                 payload: payload.to_vec(),
                 depart: self.clock,
-                vclock,
                 checksum: checksum(payload),
                 link_seq,
                 penalty: 0.0,
@@ -429,24 +414,20 @@ impl Comm {
         }
     }
 
-    /// Bookkeeping common to every message taken off a link (matched or
-    /// buffered): under validation the per-source clock components must
-    /// be strictly increasing in FIFO order.
+    /// Check every message taken off a link, matched or buffered, on every
+    /// run: the sender numbers its messages to this rank 0, 1, 2, …
+    /// (`link_seq`), and a FIFO link hands them over in that order, none
+    /// twice and none skipped. A reordered, duplicated or lost message is a
+    /// transport bug.
     fn on_dequeue(&mut self, src: usize, msg: &Message) {
-        if let Some(vc) = &msg.vclock {
-            let got = vc.get(src);
-            let prev = self.last_src_clock[src];
-            if got <= prev {
-                self.fabric.record(Violation::ClockRegression {
-                    rank: self.rank,
-                    src,
-                    prev,
-                    got,
-                    tag: msg.tag,
-                });
-            }
-            self.last_src_clock[src] = got.max(prev);
-        }
+        let due = self.recv_seq[src];
+        assert_eq!(
+            msg.link_seq, due,
+            "rank {}: transport bug — tag {:#x} from rank {src} carries link sequence {} \
+             where {due} was due",
+            self.rank, msg.tag, msg.link_seq
+        );
+        self.recv_seq[src] = due + 1;
     }
 
     /// Run one dequeued message through the fault plan's link rules,
@@ -659,21 +640,6 @@ impl Comm {
             self.flight_span("recv_wait", "p2p", self.clock, arrive);
             self.clock = arrive;
         }
-        if self.fabric.validate {
-            if self.clock + 1e-9 < arrive {
-                self.fabric.record(Violation::LogGpViolation {
-                    rank: self.rank,
-                    src,
-                    tag: msg.tag,
-                    expect_min: arrive,
-                    got: self.clock,
-                });
-            }
-            if let Some(vc) = &msg.vclock {
-                self.vc.merge(vc);
-            }
-            self.vc.tick(self.rank);
-        }
         self.stats.msgs_recv += 1;
         self.stats.bytes_recv += msg.payload.len() as u64;
         let payload = msg.payload;
@@ -803,6 +769,12 @@ pub fn encode_f64s(data: &[f64]) -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use super::Comm;
+    use crate::fabric::{Fabric, Message};
+    use crate::fault::checksum;
     use crate::universe::Universe;
     use crate::CostParams;
 
@@ -972,21 +944,62 @@ mod tests {
         }
     }
 
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    /// Rank 1 of two, over a fabric whose link from rank 0 holds one
+    /// message per `(tag, link_seq)` of `link`, in that order.
+    fn receiver_over(link: &[(u64, u64)]) -> Comm {
+        let fabric = Arc::new(Fabric::new(2, false));
+        for &(tag, link_seq) in link {
+            let payload = vec![tag as u8];
+            let msg = Message {
+                tag,
+                checksum: checksum(&payload),
+                payload,
+                depart: 0.0,
+                link_seq,
+                penalty: 0.0,
+            };
+            fabric.post(0, 1, msg);
+        }
+        Comm::new(1, 2, CostParams::default(), fabric, PATIENCE, None)
+    }
+
     #[test]
-    fn vector_clocks_order_messages_under_validation() {
-        let out = Universe::new(2).validated().run(|c| {
-            if c.rank() == 0 {
-                c.send(1, 1, &[1]);
-                c.send(1, 2, &[2]);
-            } else {
-                c.recv(0, 1);
-                c.recv(0, 2);
-            }
-            c.vector_clock().clone()
-        });
-        // rank 0: two send ticks; rank 1 merged both and ticked twice.
-        assert_eq!(out[0].value.get(0), 2);
-        assert_eq!(out[1].value.get(0), 2);
-        assert_eq!(out[1].value.get(1), 2);
+    fn an_in_sequence_link_delivers_every_payload_in_any_tag_order() {
+        let mut c = receiver_over(&[(1, 0), (2, 1), (3, 2), (4, 3)]);
+        // tag 3 buffers tags 1 and 2; they then match from the buffer
+        let got: Vec<Vec<u8>> = [3, 1, 4, 2].map(|tag| c.recv(0, tag)).into();
+        assert_eq!(got, vec![vec![3], vec![1], vec![4], vec![2]]);
+        assert_eq!(c.recv_seq, vec![4, 0]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "transport bug — tag 0x1 from rank 0 carries link sequence 1 where 0 was due"
+    )]
+    fn a_reordered_link_is_a_transport_bug() {
+        let mut c = receiver_over(&[(1, 1), (2, 0)]);
+        c.recv(0, 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "transport bug — tag 0x2 from rank 0 carries link sequence 0 where 1 was due"
+    )]
+    fn a_duplicated_message_is_a_transport_bug() {
+        let mut c = receiver_over(&[(1, 0), (2, 0)]);
+        c.recv(0, 1);
+        c.recv(0, 2);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "transport bug — tag 0x2 from rank 0 carries link sequence 2 where 1 was due"
+    )]
+    fn a_lost_message_is_a_transport_bug() {
+        let mut c = receiver_over(&[(1, 0), (2, 2)]);
+        c.recv(0, 1);
+        c.recv(0, 2);
     }
 }

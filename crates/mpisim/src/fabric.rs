@@ -4,7 +4,9 @@
 //! One [`Fabric`] is created per [`crate::Universe::run`] call and shared
 //! (via `Arc`) by every rank. Each rank owns an inbox of `(src, message)`
 //! pairs in arrival order; a receive takes the oldest message from its
-//! awaited source, so every directed link is FIFO.
+//! awaited source, so every directed link is FIFO. Each receiver checks
+//! that order: the messages it takes off a link must carry `link_seq` 0,
+//! 1, 2, … (see `Comm`).
 //!
 //! The inboxes, every rank's [`WaitForGraph`] state, the panicked list and
 //! the diagnosis sit under one lock. A receive that finds its link empty
@@ -15,17 +17,17 @@
 //! its source unfinished, and the post or the finish that lets it proceed
 //! marks it `Running` before waking it. "Every unfinished rank is blocked"
 //! therefore means exactly a deadlock, and the rank whose park or finish
-//! brings that state about renders the diagnosis at once. The
-//! happens-before ledger and conservation audit only engage when the
-//! universe was built with [`crate::Universe::validated`].
+//! brings that state about renders the diagnosis at once. The collective
+//! ledger and the conservation audit only engage when the universe was
+//! built with [`crate::Universe::validated`].
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use shrinksvm_analyze::{
-    CollectiveLedger, FaultEvent, Fingerprint, RankState, ValidationReport, VectorClock, Violation,
-    WaitEdge, WaitForGraph,
+    CollectiveLedger, FaultEvent, Fingerprint, RankState, ValidationReport, Violation, WaitEdge,
+    WaitForGraph,
 };
 
 /// How many times a receive that finds its link empty yields its core
@@ -47,13 +49,12 @@ pub(crate) struct Message {
     pub payload: Vec<u8>,
     /// Sender's simulated clock at departure (after send overhead).
     pub depart: f64,
-    /// Sender's vector clock at departure; present only under validation.
-    pub vclock: Option<VectorClock>,
     /// [`crate::fault::checksum`] of the payload, stamped at send time and verified
     /// at receive time: injected corruption is detected, not silent.
     pub checksum: u64,
-    /// Sender's per-destination sequence number — the deterministic key
-    /// that fault rules are coined on.
+    /// Sender's per-destination sequence number: 0, 1, 2, … on each link.
+    /// The receiver checks it on every message it takes off the link, and
+    /// fault rules are coined on it.
     pub link_seq: u64,
     /// Extra in-flight simulated seconds accumulated by injected delays
     /// and retransmission backoff; written by the receiving transport when
@@ -127,7 +128,8 @@ impl State {
 
 /// Shared delivery, blocking and validation state for one universe run.
 pub(crate) struct Fabric {
-    /// Whether full validation (vector clocks, ledger, conservation) is on.
+    /// Whether full validation (collective ledger, tag discipline,
+    /// conservation) is on.
     pub validate: bool,
     state: Mutex<State>,
     /// Rank `r` sleeps on `wake[r]` while blocked.
@@ -307,7 +309,6 @@ mod tests {
             tag,
             payload: vec![tag as u8],
             depart: 0.0,
-            vclock: None,
             checksum: 0,
             link_seq: 0,
             penalty: 0.0,

@@ -43,10 +43,12 @@
 //! running, before it parks; the park that leaves no rank running (or a
 //! receive from a rank that already finished) fails at once, with a
 //! per-rank report naming ranks, sources and tags.
-//! [`Universe::validated`] additionally enables per-message vector clocks
-//! (happens-before checks), LogGP clock-consistency checks, a collective
-//! lockstep ledger, user-tag discipline, and finalize-time message
-//! conservation; [`Universe::run_report`] returns the [`ValidationReport`].
+//! Every receiver also checks, on every run, that the messages it takes off
+//! a link carry the sender's link sequence numbers 0, 1, 2, … in order; a
+//! reordered, duplicated or lost message panics as a transport bug.
+//! [`Universe::validated`] additionally enables a collective lockstep
+//! ledger, user-tag discipline, and finalize-time message conservation;
+//! [`Universe::run_report`] returns the [`ValidationReport`].
 //!
 //! ## Fault injection
 //!

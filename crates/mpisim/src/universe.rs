@@ -58,10 +58,10 @@ pub fn profile_observed<T>(run: &ObservedRun<T>) -> Result<Profile, String> {
 ///
 /// A wait-for-graph deadlock verdict is always active: the receive or the
 /// finish that leaves every unfinished rank blocked fails at once with a
-/// per-rank report instead of hanging. Full communication validation
-/// (vector clocks, collective lockstep ledger, message conservation, tag
-/// discipline) is opt-in via [`Universe::validated`] because it adds
-/// `O(p)` bookkeeping per message.
+/// per-rank report instead of hanging, and every receiver checks its links'
+/// message order. Full communication validation (collective lockstep
+/// ledger, message conservation, tag discipline) is opt-in via
+/// [`Universe::validated`].
 #[derive(Clone, Debug)]
 pub struct Universe {
     p: usize,
@@ -178,9 +178,9 @@ impl Universe {
         self
     }
 
-    /// Enable full communication validation: per-message vector clocks with
-    /// happens-before checks, LogGP clock consistency, collective lockstep
+    /// Enable full communication validation: collective lockstep
     /// fingerprints, tag discipline and finalize-time message conservation.
+    /// (Every run checks each link's message order.)
     /// [`Universe::run`] then panics with the report if a run is dirty;
     /// [`Universe::run_report`] returns it instead.
     pub fn validated(mut self) -> Self {

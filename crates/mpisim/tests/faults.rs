@@ -324,8 +324,8 @@ fn roundtripped_plan_behaves_identically() {
 }
 
 /// Faults do not corrupt results even under validation: the full
-/// correctness machinery (vector clocks, ledger, conservation) stays
-/// clean across a survived fault schedule.
+/// correctness machinery (link order, ledger, conservation) stays clean
+/// across a survived fault schedule.
 #[test]
 fn survived_faults_leave_validation_clean() {
     let plan = FaultPlan::new(22)

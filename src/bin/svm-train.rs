@@ -150,7 +150,7 @@ fn main() {
     };
     let mut params = SvmParams::new(o.c, kernel)
         .with_epsilon(o.eps)
-        .with_cache_bytes(o.cache_mb << 20)
+        .with_cache_bytes(o.cache_mb.checked_mul(1 << 20).unwrap_or_else(|| usage()))
         .with_class_weights(o.w_pos, o.w_neg)
         .with_wss(WssKind::SecondOrder);
 

@@ -254,6 +254,67 @@ fn non_finite_training_rows_fail_cleanly() {
 }
 
 #[test]
+fn non_finite_hyper_parameters_fail_cleanly() {
+    let dir = workdir("non_finite_hyper_parameters_fail_cleanly");
+    let data = dir.join("six.libsvm");
+    std::fs::write(
+        &data,
+        "+1 1:1 2:0.5\n-1 1:-1 2:-0.25\n+1 1:0.8 2:0.9\n-1 1:-0.6 2:-1\n\
+         +1 1:0.2 2:1.2\n-1 1:-1.1 2:0.1\n",
+    )
+    .unwrap();
+    let model = dir.join("out.model");
+    let (data, model_path) = (data.to_str().unwrap(), model.to_str().unwrap());
+    for (opts, named) in [
+        (&["-S", "0"][..], "gamma must be finite"),
+        (&["-g", "inf"], "gamma must be finite"),
+        (&["-c", "inf"], "C must be finite"),
+        (&["-e", "inf"], "epsilon must be finite"),
+        (&["-w+", "inf"], "w+ must be finite"),
+        (&["-t", "1", "-r", "nan"], "coef0 must be finite"),
+        (&["-t", "3", "-r", "inf"], "coef0 must be finite"),
+    ] {
+        for procs in [None, Some("2")] {
+            let mut args: Vec<&str> = opts.to_vec();
+            if let Some(p) = procs {
+                args.extend(["-P", p]);
+            }
+            args.extend([data, model_path]);
+            let out = run(env!("CARGO_BIN_EXE_svm-train"), &args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(named), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(!model.exists(), "{args:?}: a model was written");
+        }
+    }
+    // a model file the trainer could not have written
+    std::fs::write(
+        &model,
+        "shrinksvm-model v1\nkernel rbf inf\nbias 0\nnsv 1 ncols 2\n1 1:1 2:0.5\n",
+    )
+    .unwrap();
+    let predictions = dir.join("out.txt");
+    let out = run(
+        env!("CARGO_BIN_EXE_svm-predict"),
+        &[data, model_path, predictions.to_str().unwrap()],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("gamma must be finite"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&model).unwrap();
+    // 2^44 MB is 2^64 bytes: a usage error, not a silently empty cache
+    let out = run(
+        env!("CARGO_BIN_EXE_svm-train"),
+        &["-m", "17592186044416", data, model_path],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!model.exists(), "a model was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn columns_past_u32_fail_cleanly() {
     let dir = workdir("columns_past_u32_fail_cleanly");
     // 4294967297 would wrap to column 0 if cast to u32

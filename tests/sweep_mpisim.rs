@@ -178,7 +178,7 @@ fn stats_balance_across_fleet() {
 
 #[test]
 fn validated_collective_workload_is_clean() {
-    // The full validation stack (vector clocks, ledger, conservation) must
+    // The full validation stack (ledger, conservation, tag discipline) must
     // stay silent on a correct mixed workload at several rank counts.
     for p in [1usize, 2, 3, 5, 8] {
         let (_, report) = Universe::new(p).validated().run_report(|c| {
