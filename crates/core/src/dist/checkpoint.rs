@@ -37,18 +37,14 @@ use std::sync::{Arc, Mutex};
 
 use crate::error::CoreError;
 
-/// When and how the driver checkpoints and recovers.
+/// When and where the driver snapshots solver state. How it recovers
+/// from a crash is configured separately, by
+/// [`RecoveryPolicy`](super::recovery::RecoveryPolicy).
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
     /// Snapshot every this many SMO iterations (also at iteration 0, so a
     /// recoverable baseline always exists).
     pub every_iters: u64,
-    /// On rank death, continue with one rank fewer (re-partitioning the
-    /// dead rank's samples across survivors) instead of restarting at the
-    /// original rank count.
-    pub allow_degraded: bool,
-    /// Give up after this many recoveries.
-    pub max_recoveries: u32,
     /// Mirror every promoted checkpoint to this file (versioned text
     /// format), best-effort: a write failure is recorded on the store,
     /// not fatal to training.
@@ -86,8 +82,6 @@ impl Default for CheckpointPolicy {
     fn default() -> Self {
         CheckpointPolicy {
             every_iters: 64,
-            allow_degraded: false,
-            max_recoveries: 4,
             disk_path: None,
             keep_generations: DEFAULT_KEEP_GENERATIONS,
         }
@@ -102,18 +96,6 @@ impl CheckpointPolicy {
             every_iters,
             ..CheckpointPolicy::default()
         }
-    }
-
-    /// Allow degraded continuation on rank death.
-    pub fn degraded(mut self) -> Self {
-        self.allow_degraded = true;
-        self
-    }
-
-    /// Set the recovery budget.
-    pub fn with_max_recoveries(mut self, n: u32) -> Self {
-        self.max_recoveries = n;
-        self
     }
 
     /// Mirror promoted checkpoints to a file.
@@ -306,7 +288,11 @@ impl Checkpoint {
         };
         let iline = next("iterations line")?;
         let (iterations, stage) = match iline.split_whitespace().collect::<Vec<_>>().as_slice() {
-            ["iterations", i, "stage", s] => (pu(i)?, pu(s)? as u32),
+            ["iterations", i, "stage", s] => (
+                pu(i)?,
+                s.parse::<u32>()
+                    .map_err(|_| bad(format!("bad stage '{s}' (not a u32)")))?,
+            ),
             _ => return Err(bad(format!("bad iterations line '{iline}'"))),
         };
         let bline = next("betas line")?;
@@ -336,10 +322,14 @@ impl Checkpoint {
                 ),
                 _ => return Err(bad(format!("bad rank line '{rline}'"))),
             };
-            if lo + len > n {
+            let end = lo.checked_add(len).ok_or_else(|| {
+                bad(format!(
+                    "rank {rank} claims {len} samples from {lo}, past usize::MAX"
+                ))
+            })?;
+            if end > n {
                 return Err(bad(format!(
-                    "rank {rank} claims samples {lo}..{} of {n}",
-                    lo + len
+                    "rank {rank} claims samples {lo}..{end} of {n}"
                 )));
             }
             let floats = |line: String, label: &str| -> Result<Vec<f64>, CoreError> {
@@ -423,8 +413,6 @@ struct Gen {
     /// Global promote sequence number (monotone across the store's life,
     /// never reset — so fault plans can target generations by seq).
     seq: u64,
-    /// Driver attempt index that promoted this generation.
-    attempt: u32,
     /// The cut's simulated time within its attempt.
     sim_time: f64,
     /// Serialized cut (possibly corrupted by a planted window).
@@ -451,8 +439,6 @@ pub struct RestoreScan {
     pub checkpoint: Option<Arc<Checkpoint>>,
     /// Promote sequence number of the chosen generation.
     pub seq: Option<u64>,
-    /// Driver attempt that promoted the chosen generation.
-    pub attempt: Option<u32>,
     /// The chosen cut's simulated time within its attempt (0 when none).
     pub sim_time: f64,
     /// Sequence numbers that failed checksum verification during the
@@ -467,7 +453,6 @@ pub struct RestoreScan {
 #[derive(Debug)]
 struct StoreInner {
     p: usize,
-    attempt: u32,
     staging: BTreeMap<(u64, u32), Pending>,
     /// Promoted generations, oldest → newest, bounded by `keep`.
     history: Vec<Gen>,
@@ -493,7 +478,6 @@ impl CheckpointStore {
         CheckpointStore {
             inner: Mutex::new(StoreInner {
                 p,
-                attempt: 0,
                 staging: BTreeMap::new(),
                 history: Vec::new(),
                 keep: keep_generations.max(1),
@@ -607,7 +591,6 @@ impl CheckpointStore {
         if let Some(g) = chosen {
             scan.checkpoint = Some(Arc::clone(&g.ck));
             scan.seq = Some(g.seq);
-            scan.attempt = Some(g.attempt);
             scan.sim_time = g.sim_time;
         }
         scan
@@ -628,18 +611,9 @@ impl CheckpointStore {
         }
     }
 
-    /// Start a recovery attempt: drop all partial generations, retarget
-    /// the store at `p` ranks and stamp subsequent promotions with the
-    /// attempt index (promoted generations survive — their snapshots are
-    /// in global indices).
-    pub fn begin_attempt(&self, attempt: u32, p: usize) {
-        let mut inner = lock(&self.inner);
-        inner.staging.clear();
-        inner.p = p;
-        inner.attempt = attempt;
-    }
-
-    /// Drop all partial generations and retarget the store at `p` ranks.
+    /// Start a recovery attempt on `p` ranks: drop all partial
+    /// generations and retarget the store (promoted generations survive —
+    /// their snapshots are in global indices).
     pub fn reset_ranks(&self, p: usize) {
         let mut inner = lock(&self.inner);
         inner.staging.clear();
@@ -685,7 +659,6 @@ impl StoreInner {
         }
         self.history.push(Gen {
             seq,
-            attempt: self.attempt,
             sim_time,
             bytes,
             sum,
@@ -902,12 +875,27 @@ mod tests {
                 "prefix of {cut} bytes unexpectedly parsed as a full checkpoint"
             );
         }
-        // out-of-range rank claims are rejected
-        let evil = text.replace("lo 0 len 2", "lo 7 len 2");
-        assert!(matches!(
-            Checkpoint::read_from(evil.as_bytes()),
-            Err(CoreError::CheckpointFormat(_))
-        ));
+        // A well-formed file with a valid checksum can still claim what no
+        // checkpoint holds: reseal each edited body so that the parser, not
+        // the checksum, has to reject it, and names the field.
+        let body = &text[..text.rfind("checksum ").unwrap()];
+        for (from, to, named) in [
+            ("lo 0 len 2", "lo 7 len 2", "claims samples 7..9 of 2"),
+            (
+                "lo 0 len 2",
+                "lo 18446744073709551615 len 2",
+                "claims 2 samples from 18446744073709551615",
+            ),
+            ("stage 0", "stage 4294967297", "bad stage '4294967297'"),
+        ] {
+            let edited = body.replace(from, to);
+            assert_ne!(edited, body, "edit '{from}' must apply");
+            let sum = shrinksvm_mpisim::fault::checksum(edited.as_bytes());
+            match Checkpoint::read_from(format!("{edited}checksum {sum}\n").as_bytes()) {
+                Err(CoreError::CheckpointFormat(m)) => assert!(m.contains(named), "{to}: {m}"),
+                other => panic!("{to}: expected a format error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -47,15 +47,9 @@ pub struct DistRunResult {
     /// Injected faults survived: transport faults absorbed by
     /// retransmission or delay, plus rank crashes recovered from.
     pub faults_survived: u64,
-    /// Simulated seconds lost to crash-aborted attempts (re-executed
-    /// time plus ladder backoff; see [`DistRunResult::recovery`] for the
-    /// split). The total modeled cost of the run is
-    /// `makespan + recovery_cost`.
-    pub recovery_cost: f64,
-    /// Crash-recovery restarts performed.
-    pub recoveries: u32,
-    /// Full recovery-ladder accounting: rungs climbed, corrupt
-    /// generations detected, waste/backoff split, final rank count.
+    /// Recovery-ladder accounting: restarts performed, corrupt
+    /// generations detected, waste/backoff split, final rank count. The
+    /// total modeled cost of the run is `makespan + recovery.cost()`.
     pub recovery: RecoverySummary,
     /// Validation report of the final attempt (violations plus the
     /// fault-injection ledger; empty without
@@ -113,8 +107,8 @@ impl DistRunResult {
         r.transfer_time = agg.transfer_time;
         r.idle_time = agg.idle_time;
         r.faults_survived = self.faults_survived;
-        r.recoveries = self.recoveries as u64;
-        r.recovery_cost = self.recovery_cost;
+        r.recoveries = u64::from(self.recovery.recoveries);
+        r.recovery_cost = self.recovery.cost();
         r.extras
             .insert("recovery_waste".to_string(), self.recovery.waste);
         r.extras
@@ -256,20 +250,18 @@ impl<'a> DistSolver<'a> {
 
     /// Enable periodic checkpointing and crash recovery: every rank
     /// snapshots its solver state on the policy's cadence, and on an
-    /// injected rank death training restarts from the last consistent
-    /// checkpoint — at the same rank count, or (with
-    /// [`CheckpointPolicy::allow_degraded`]) re-partitioned across one
-    /// rank fewer.
+    /// injected rank death training restarts from a verified consistent
+    /// checkpoint. Without [`DistSolver::with_recovery`] the restarts
+    /// climb the default ladder, [`RecoveryPolicy::default`].
     pub fn with_checkpointing(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
         self
     }
 
-    /// Install an explicit recovery ladder (see [`RecoveryPolicy`]).
-    /// Without this, a checkpointing run uses the legacy policy implied
-    /// by its [`CheckpointPolicy`] (restore the newest cut, degrade
-    /// eagerly iff `allow_degraded`, no backoff), and a run without
-    /// checkpointing does not recover at all.
+    /// Tune the recovery ladder (see [`RecoveryPolicy`]): retry budget,
+    /// same-`p` rungs, backoff and degradation floor. A checkpointing run
+    /// without this climbs [`RecoveryPolicy::default`]; a run without
+    /// checkpointing does not recover unless this is set.
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
         self
@@ -314,9 +306,10 @@ impl<'a> DistSolver<'a> {
         // Once, before any rank starts, so every rank agrees on the verdict.
         check_finite_rows(&ds.x)?;
         let mut faults = self.faults;
-        let policy = self.recovery.unwrap_or_else(|| match &self.checkpoint {
-            Some(pol) => RecoveryPolicy::legacy(pol),
-            None => RecoveryPolicy::none(),
+        let policy = self.recovery.unwrap_or(if self.checkpoint.is_some() {
+            RecoveryPolicy::default()
+        } else {
+            RecoveryPolicy::none()
         });
         let store = self.checkpoint.as_ref().map(|pol| {
             let s = Arc::new(CheckpointStore::new(
@@ -422,7 +415,7 @@ impl<'a> DistSolver<'a> {
                             // target (the retry re-posts their keys) and
                             // retarget the store at the retry's rank count.
                             store.rewind_to(scan.seq);
-                            store.begin_attempt(summary.recoveries, next_p);
+                            store.reset_ranks(next_p);
                         }
                         if let Some(fr) = &self.flight {
                             // Mirror this crash's ladder actions into the
@@ -575,8 +568,6 @@ impl<'a> DistSolver<'a> {
                 wall_time: start.elapsed(),
                 rank_stats,
                 faults_survived: u64::from(summary.recoveries) + transport_faults,
-                recovery_cost: summary.cost(),
-                recoveries: summary.recoveries,
                 report,
                 timeline,
                 metrics,

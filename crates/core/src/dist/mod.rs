@@ -12,9 +12,12 @@
 //!   phase classifier, published as epoch series (no communication),
 //! * [`recon`] — distributed gradient reconstruction (Algorithm 3),
 //! * [`checkpoint`] — multi-generation, checksummed consistent-checkpoint
-//!   store for crash recovery,
+//!   store for crash recovery, and the snapshot cadence
+//!   ([`CheckpointPolicy`]),
 //! * [`recovery`] — the degradation ladder: escalating crash-recovery
-//!   policy (older generations → fewer ranks → give up),
+//!   policy (older generations → fewer ranks → give up), the one place
+//!   recovery is configured ([`RecoveryPolicy`]) and reported
+//!   ([`RecoverySummary`]),
 //! * [`driver`] — [`DistSolver`]: launches a `mpisim` universe, runs the
 //!   per-rank program on every rank, merges the outcomes, and recovers
 //!   from injected rank crashes via the checkpoint store and the ladder.

@@ -29,9 +29,11 @@
 //!
 //! [`CrashNotice`]: shrinksvm_mpisim::CrashNotice
 
-/// How the driver escalates across repeated crashes. Defaults are
-/// deliberately patient: three same-`p` rungs before shedding a rank,
-/// eight recoveries total, millisecond-scale base backoff.
+/// How the driver escalates across repeated crashes — the one place
+/// recovery is configured. Defaults are deliberately patient: three
+/// same-`p` rungs before shedding a rank, eight recoveries total,
+/// millisecond-scale base backoff. A checkpointing run without an explicit
+/// policy climbs this default ladder.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// Total recovery attempts before giving up with
@@ -40,20 +42,16 @@ pub struct RecoveryPolicy {
     /// Consecutive no-progress recoveries tolerated at the current `p`
     /// before degrading to `p-1`. Rung `k` of a streak restores the
     /// `k`-th-newest verified generation, so the same bad cut is never
-    /// re-selected twice in a row.
+    /// re-selected twice in a row. `0` sheds a rank on every crash above
+    /// the floor.
     pub same_p_rungs: u32,
     /// Simulated seconds charged before the first retry; doubles with
     /// each consecutive no-progress recovery (capped at `2^16·base`).
     pub base_backoff: f64,
-    /// Degradation floor: never shed ranks below this.
+    /// Degradation floor: never shed ranks below this. At the floor the
+    /// ladder only deepens generation skips; `usize::MAX` (see
+    /// [`RecoveryPolicy::without_degradation`]) never sheds at all.
     pub min_ranks: usize,
-    /// Whether shedding ranks is allowed at all. When `false` the ladder
-    /// stays at the starting `p` and only deepens generation skips.
-    pub allow_degraded: bool,
-    /// Legacy eager mode: degrade on *every* crash (the pre-ladder
-    /// behaviour of `CheckpointPolicy::degraded()`), still honouring
-    /// `min_ranks` and the retry budget.
-    pub degrade_every_crash: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -63,8 +61,6 @@ impl Default for RecoveryPolicy {
             same_p_rungs: 3,
             base_backoff: 1e-3,
             min_ranks: 1,
-            allow_degraded: true,
-            degrade_every_crash: false,
         }
     }
 }
@@ -83,23 +79,6 @@ impl RecoveryPolicy {
         }
     }
 
-    /// The ladder implied by a pre-ladder [`CheckpointPolicy`]: same
-    /// retry budget, degrade eagerly iff the policy allowed degraded
-    /// continuation, no backoff charges (so existing runs and tests keep
-    /// their exact timings).
-    ///
-    /// [`CheckpointPolicy`]: super::checkpoint::CheckpointPolicy
-    pub fn legacy(pol: &super::checkpoint::CheckpointPolicy) -> Self {
-        RecoveryPolicy {
-            max_recoveries: pol.max_recoveries,
-            same_p_rungs: 3,
-            base_backoff: 0.0,
-            min_ranks: 1,
-            allow_degraded: pol.allow_degraded,
-            degrade_every_crash: pol.allow_degraded,
-        }
-    }
-
     /// Set the total retry budget.
     pub fn with_max_recoveries(mut self, n: u32) -> Self {
         self.max_recoveries = n;
@@ -107,9 +86,8 @@ impl RecoveryPolicy {
     }
 
     /// Set how many no-progress recoveries run at the same `p` before
-    /// degrading (must be ≥ 1).
+    /// degrading (`0` sheds a rank on every crash above the floor).
     pub fn with_same_p_rungs(mut self, n: u32) -> Self {
-        assert!(n >= 1, "same_p_rungs must be >= 1");
         self.same_p_rungs = n;
         self
     }
@@ -128,10 +106,10 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Forbid shedding ranks; the ladder only deepens generation skips.
+    /// Forbid shedding ranks: the floor becomes `usize::MAX`, so the
+    /// ladder stays at the starting `p` and only deepens generation skips.
     pub fn without_degradation(mut self) -> Self {
-        self.allow_degraded = false;
-        self.degrade_every_crash = false;
+        self.min_ranks = usize::MAX;
         self
     }
 }
@@ -236,23 +214,7 @@ impl RecoveryLadder {
             self.streak += 1;
         }
         let backoff = self.backoff();
-        if self.policy.degrade_every_crash {
-            // Legacy eager mode: shed a rank on every crash down to the
-            // floor, always restoring the newest verified cut.
-            if self.p > self.policy.min_ranks {
-                self.p -= 1;
-                self.streak = 0;
-            }
-            return LadderAction::Restore {
-                p: self.p,
-                skip_generations: 0,
-                backoff,
-            };
-        }
-        if self.streak >= self.policy.same_p_rungs
-            && self.policy.allow_degraded
-            && self.p > self.policy.min_ranks
-        {
+        if self.streak >= self.policy.same_p_rungs && self.p > self.policy.min_ranks {
             // Same-p rungs exhausted: shed a rank and restart the streak
             // (the new configuration deserves its own patience).
             self.p -= 1;
@@ -265,8 +227,8 @@ impl RecoveryLadder {
         }
         // Same-p rung `streak`: skip that many newest verified
         // generations so a bad cut is never re-selected twice in a row.
-        // At the floor (or with degradation off) the streak keeps
-        // growing, so the skips keep deepening.
+        // At the floor the streak keeps growing, so the skips keep
+        // deepening.
         LadderAction::Restore {
             p: self.p,
             skip_generations: self.streak as usize,
@@ -353,22 +315,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_degrades_on_every_crash() {
-        let pol = crate::dist::checkpoint::CheckpointPolicy::default().degraded();
-        let mut l = RecoveryLadder::new(RecoveryPolicy::legacy(&pol), 3);
+    fn zero_same_p_rungs_sheds_on_every_crash_then_deepens_at_the_floor() {
+        let pol = RecoveryPolicy::default().with_same_p_rungs(0);
+        let mut l = RecoveryLadder::new(pol, 3);
+        // a rank goes on every crash above the floor, progress or not
         assert_eq!(step(&mut l, true), restore(2, 0));
         assert_eq!(step(&mut l, false), restore(1, 0));
-        // at the floor legacy mode retries the newest cut forever
-        assert_eq!(step(&mut l, false), restore(1, 0));
+        // at the floor the no-progress streak deepens the skips
+        assert_eq!(step(&mut l, false), restore(1, 1));
+        assert_eq!(step(&mut l, false), restore(1, 2));
     }
 
     #[test]
-    fn legacy_without_degradation_stays_at_p() {
-        let pol = crate::dist::checkpoint::CheckpointPolicy::default();
-        assert!(!pol.allow_degraded);
-        let mut l = RecoveryLadder::new(RecoveryPolicy::legacy(&pol), 4);
+    fn without_degradation_stays_at_p_up_to_the_budget() {
+        let pol = RecoveryPolicy::default().without_degradation();
+        let mut l = RecoveryLadder::new(pol, 4);
         assert_eq!(step(&mut l, true), restore(4, 0));
-        assert_eq!(step(&mut l, false), restore(4, 1));
+        for streak in 1..pol.max_recoveries as usize {
+            assert_eq!(step(&mut l, false), restore(4, streak));
+        }
+        assert_eq!(l.on_crash(false), LadderAction::GiveUp);
     }
 
     #[test]

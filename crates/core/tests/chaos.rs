@@ -74,14 +74,28 @@ fn crash_with_checkpointing_recovers_the_exact_model_across_seeds() {
             .train()
             .expect("crash must be recovered");
         assert!(run.converged, "seed {seed}: recovered run converges");
-        assert_eq!(run.recoveries, 1, "seed {seed}: exactly one restart");
+        assert_eq!(
+            run.recovery.recoveries, 1,
+            "seed {seed}: exactly one restart"
+        );
         assert!(
             run.faults_survived >= 1,
             "seed {seed}: the crash counts as a survived fault"
         );
         assert!(
-            run.recovery_cost > 0.0,
+            run.recovery.cost() > 0.0,
             "seed {seed}: the aborted attempt has a modeled cost"
+        );
+        // checkpointing alone climbs the default ladder, backoff included
+        assert_eq!(
+            run.recovery.backoff,
+            RecoveryPolicy::default().base_backoff,
+            "seed {seed}: one crash at streak 0 charges the base backoff"
+        );
+        assert_eq!(
+            run.recovery.cost(),
+            run.recovery.waste + run.recovery.backoff,
+            "seed {seed}: cost = waste + backoff"
         );
         assert_eq!(
             model_bytes(&run.model),
@@ -120,7 +134,8 @@ fn exhausted_recovery_budget_fails_fast() {
     let err = DistSolver::new(&ds, params())
         .with_processes(2)
         .with_faults(fp)
-        .with_checkpointing(CheckpointPolicy::every(8).with_max_recoveries(1))
+        .with_checkpointing(CheckpointPolicy::every(8))
+        .with_recovery(RecoveryPolicy::new().with_max_recoveries(1))
         .train();
     assert!(
         matches!(err, Err(CoreError::RankLost { .. })),
@@ -141,7 +156,7 @@ fn repeated_crashes_are_survived_within_budget() {
         .with_checkpointing(CheckpointPolicy::every(8))
         .train()
         .expect("both crashes recovered");
-    assert_eq!(run.recoveries, 2);
+    assert_eq!(run.recovery.recoveries, 2);
     assert!(run.converged);
     assert_eq!(
         model_bytes(&run.model),
@@ -158,11 +173,12 @@ fn degraded_continuation_retrains_on_fewer_ranks() {
     let run = DistSolver::new(&ds, params())
         .with_processes(4)
         .with_faults(fp)
-        .with_checkpointing(CheckpointPolicy::every(8).degraded())
+        .with_checkpointing(CheckpointPolicy::every(8))
+        .with_recovery(RecoveryPolicy::new().with_same_p_rungs(0))
         .train()
         .expect("degraded continuation trains");
     assert!(run.converged);
-    assert_eq!(run.recoveries, 1);
+    assert_eq!(run.recovery.recoveries, 1);
     assert_eq!(
         run.rank_stats.len(),
         3,
@@ -200,12 +216,14 @@ fn multi_crash_with_corrupt_checkpoints_climbs_the_ladder_to_the_exact_model() {
             .with_processes(3)
             .with_faults(fp)
             .with_checkpointing(CheckpointPolicy::every(8).with_keep_generations(4096))
-            .with_recovery(RecoveryPolicy::new())
             .with_tracing()
             .train()
             .expect("the ladder must survive all three crashes");
         assert!(run.converged, "seed {seed}");
-        assert_eq!(run.recoveries, 3, "seed {seed}: one restart per crash");
+        assert_eq!(
+            run.recovery.recoveries, 3,
+            "seed {seed}: one restart per crash"
+        );
         assert_eq!(
             run.rank_stats.len(),
             3,
@@ -218,11 +236,6 @@ fn multi_crash_with_corrupt_checkpoints_climbs_the_ladder_to_the_exact_model() {
         );
         assert!(!run.recovery.degraded, "seed {seed}");
         assert!(run.recovery.waste > 0.0, "seed {seed}");
-        assert_eq!(
-            run.recovery_cost,
-            run.recovery.cost(),
-            "seed {seed}: cost = waste + backoff"
-        );
         assert_eq!(
             model_bytes(&run.model),
             model_bytes(&clean.model),
@@ -259,7 +272,7 @@ fn ladder_degrades_rank_by_rank_to_the_single_rank_floor() {
         .train()
         .expect("degraded continuation reaches the floor and finishes");
     assert!(run.converged);
-    assert_eq!(run.recoveries, 3);
+    assert_eq!(run.recovery.recoveries, 3);
     assert_eq!(
         run.rank_stats.len(),
         1,
@@ -296,14 +309,13 @@ fn recovery_cost_charges_only_unbanked_work() {
         .with_checkpointing(CheckpointPolicy::every(8))
         .train()
         .expect("crash recovered");
-    assert_eq!(run.recoveries, 1);
+    assert_eq!(run.recovery.recoveries, 1);
     assert!(run.recovery.waste > 0.0);
     assert!(
         run.recovery.waste < crash_t,
         "banked checkpoint work must not be charged: waste {} vs crash at {crash_t}",
         run.recovery.waste
     );
-    assert_eq!(run.recovery_cost, run.recovery.cost());
     assert_eq!(
         model_bytes(&run.model),
         model_bytes(&clean.model),
@@ -325,7 +337,7 @@ fn transport_faults_leave_the_model_intact_and_cost_simulated_time() {
         .with_faults(fp)
         .train()
         .expect("transport faults are absorbed in-flight");
-    assert_eq!(run.recoveries, 0, "no crash, no restart");
+    assert_eq!(run.recovery.recoveries, 0, "no crash, no restart");
     assert!(
         run.faults_survived > 0,
         "the plan must actually have injected faults"
@@ -367,7 +379,7 @@ fn chaos_runs_are_deterministic_for_identical_seeds() {
     let b = run(make_plan());
     assert_eq!(model_bytes(&a.model), model_bytes(&b.model));
     assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-    assert_eq!(a.recovery_cost.to_bits(), b.recovery_cost.to_bits());
+    assert_eq!(a.recovery.cost().to_bits(), b.recovery.cost().to_bits());
     assert_eq!(a.faults_survived, b.faults_survived);
     assert_eq!(
         a.report.to_string(),
@@ -398,7 +410,7 @@ fn shrinking_policies_survive_crash_recovery() {
             .train()
             .expect("crash under shrinking recovered");
         assert!(run.converged);
-        assert_eq!(run.recoveries, 1);
+        assert_eq!(run.recovery.recoveries, 1);
         assert_eq!(
             run.model.n_sv(),
             clean.model.n_sv(),

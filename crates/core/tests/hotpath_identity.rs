@@ -196,7 +196,7 @@ fn cache_survives_crash_recovery_with_the_exact_model() {
             .train()
             .expect("crash must be recovered");
         assert!(recovered.converged, "seed {seed}");
-        assert_eq!(recovered.recoveries, 1, "seed {seed}");
+        assert_eq!(recovered.recovery.recoveries, 1, "seed {seed}");
         assert_eq!(
             model_bytes(&recovered.model),
             model_bytes(&clean.model),

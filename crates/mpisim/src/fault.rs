@@ -568,7 +568,9 @@ impl FaultPlan {
                 [] => {}
                 ["seed", s] => plan.seed = pu(s)?,
                 ["retry", "max", m, "backoff", b] => {
-                    plan.max_retries = pu(m)? as u32;
+                    plan.max_retries = m
+                        .parse::<u32>()
+                        .map_err(|_| format!("bad retry max '{m}' (not a u32)"))?;
                     plan.retry_backoff = pf(b)?;
                 }
                 ["link", kind @ ("drop" | "corrupt"), "src", s, "dst", d, "from", f, "until", u, "p", p, "count", c] =>
@@ -606,23 +608,27 @@ impl FaultPlan {
                     }
                     plan.ckpt_rules.push(CkptRule { from, until });
                 }
-                ["rank", "crash", r, "at", at, rest @ ..] => {
+                // A rank rule ends at its last field or at `disarmed`;
+                // any other tail is a bad line, not an armed rule.
+                ["rank", "crash", r, "at", at, rest @ ..] if matches!(rest, [] | ["disarmed"]) => {
                     plan.rank_rules.push(RankRule {
                         fault: RankFault::Crash,
                         rank: pu(r)? as usize,
                         from: pf(at)?,
                         until: f64::INFINITY,
                     });
-                    plan.disarmed.push(rest == ["disarmed"]);
+                    plan.disarmed.push(!rest.is_empty());
                 }
-                ["rank", "slow", r, "factor", fac, "from", f, "until", u, rest @ ..] => {
+                ["rank", "slow", r, "factor", fac, "from", f, "until", u, rest @ ..]
+                    if matches!(rest, [] | ["disarmed"]) =>
+                {
                     plan.rank_rules.push(RankRule {
                         fault: RankFault::Slow { factor: pf(fac)? },
                         rank: pu(r)? as usize,
                         from: pf(f)?,
                         until: pf(u)?,
                     });
-                    plan.disarmed.push(rest == ["disarmed"]);
+                    plan.disarmed.push(!rest.is_empty());
                 }
                 _ => return Err(format!("bad fault-plan line '{line}'")),
             }
@@ -702,6 +708,21 @@ mod tests {
         assert!(FaultPlan::from_text("faultplan v0\n").is_err());
         assert!(FaultPlan::from_text("shrinksvm-faultplan v1\nlink warp 1\n").is_err());
         assert!(FaultPlan::from_text("shrinksvm-faultplan v1\nseed banana\n").is_err());
+        // a count past its field's width, and a rank-rule tail other than
+        // exactly `disarmed`, are named errors — not wrapped, not dropped
+        let err = |line: &str| {
+            FaultPlan::from_text(&format!("shrinksvm-faultplan v1\n{line}\n")).unwrap_err()
+        };
+        let max = err("retry max 4294967297 backoff 1e-4");
+        assert!(max.contains("bad retry max '4294967297'"), "{max}");
+        for line in [
+            "rank crash 1 at 5e-1 disarmd",
+            "rank crash 1 at 5e-1 disarmed now",
+            "rank slow 0 factor 2e0 from 0e0 until 1e0 armed",
+        ] {
+            let e = err(line);
+            assert_eq!(e, format!("bad fault-plan line '{line}'"));
+        }
     }
 
     #[test]

@@ -23,9 +23,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use shrinksvm_core::dist::{
-    flight_capacity, CheckpointPolicy, DistRunResult, DistSolver, RecoveryPolicy,
-};
+use shrinksvm_core::dist::{flight_capacity, CheckpointPolicy, DistRunResult, DistSolver};
 use shrinksvm_core::error::CoreError;
 use shrinksvm_core::kernel::KernelKind;
 use shrinksvm_core::model::SvmModel;
@@ -193,7 +191,6 @@ struct Scenario<'a> {
     ds: &'a Dataset,
     clean: &'a DistRunResult,
     ckpt: CheckpointPolicy,
-    recovery: Option<RecoveryPolicy>,
     /// The template requires at least one detected corrupt generation.
     expect_corruption: bool,
 }
@@ -214,9 +211,6 @@ impl Scenario<'_> {
             .with_checkpointing(self.ckpt.clone());
         if let Some(fr) = flight {
             s = s.with_flight(fr);
-        }
-        if let Some(r) = self.recovery {
-            s = s.with_recovery(r);
         }
         s.train()
     }
@@ -255,7 +249,7 @@ impl Scenario<'_> {
 fn template_plan(template: &str, seed: u64, makespan: f64) -> Result<FaultPlan, String> {
     let fp = FaultPlan::new(seed);
     match template {
-        // One mid-run crash, legacy restore-same-p recovery.
+        // One mid-run crash, recovered from the newest cut at the same p.
         "crash" => Ok(fp.crash_rank(1, 0.5 * makespan)),
         // A crash whose restore must detect corrupted generations and
         // fall back to an older verified cut.
@@ -276,7 +270,8 @@ fn template_plan(template: &str, seed: u64, makespan: f64) -> Result<FaultPlan, 
     }
 }
 
-/// The named template's scenario shape (checkpoint + recovery policy).
+/// The named template's scenario shape. Every template climbs the
+/// default recovery ladder; they differ in the checkpoint history kept.
 fn template_scenario<'a>(
     template: &str,
     ds: &'a Dataset,
@@ -287,17 +282,14 @@ fn template_scenario<'a>(
             ds,
             clean,
             ckpt: CheckpointPolicy::every(8),
-            recovery: None,
             expect_corruption: false,
         },
         // Both corruption templates keep every generation so the
-        // iteration-0 cut survives the corrupt window, and climb the
-        // escalating ladder rather than the legacy single rung.
+        // iteration-0 cut survives the corrupt window.
         _ => Scenario {
             ds,
             clean,
             ckpt: CheckpointPolicy::every(8).with_keep_generations(4096),
-            recovery: Some(RecoveryPolicy::new()),
             expect_corruption: true,
         },
     }
@@ -362,8 +354,8 @@ fn run_cell(
         (Ok(x), Ok(y)) => {
             let same = model_bytes(&x.model) == model_bytes(&y.model)
                 && x.makespan.to_bits() == y.makespan.to_bits()
-                && x.recovery_cost.to_bits() == y.recovery_cost.to_bits()
-                && x.recoveries == y.recoveries;
+                && x.recovery.cost().to_bits() == y.recovery.cost().to_bits()
+                && x.recovery.recoveries == y.recovery.recoveries;
             if same {
                 None
             } else {
@@ -394,12 +386,12 @@ fn run_cell(
 
     let (recoveries, corrupt, degraded, final_ranks, makespan, recovery_cost) = match &a {
         Ok(run) => (
-            run.recoveries,
+            run.recovery.recoveries,
             run.recovery.corrupt_generations,
             run.recovery.degraded,
             run.recovery.final_ranks,
             run.makespan,
-            run.recovery_cost,
+            run.recovery.cost(),
         ),
         Err(_) => (0, 0, false, 0, 0.0, 0.0),
     };
